@@ -32,18 +32,13 @@ def _active_tape():
 
 
 class Tensor:
-    """A shape-tagged float64 array with a lazily allocated gradient slot.
+    """A shape-tagged float64 array with a lazily allocated gradient slot."""
 
-    ``node_id`` is the tensor's position in the recording tape; it stays
-    None until the tensor participates in a recorded operation.
-    """
-
-    __slots__ = ("data", "grad", "node_id")
+    __slots__ = ("data", "grad")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.node_id = None
 
     @property
     def shape(self):
@@ -59,7 +54,7 @@ class Tensor:
         return self.grad
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, id={self.node_id})"
+        return f"Tensor(shape={self.data.shape})"
 
     # Arithmetic sugar; constants on either side stay constants (no grad).
     def __add__(self, other):
@@ -88,25 +83,21 @@ class Tensor:
 
 class TapeEntry(NamedTuple):
     op: str
-    input_ids: tuple
-    output_id: int
     output: Tensor
     backward: Callable[[], None]
 
 
 class Tape:
-    """Ordered record of operations for one forward pass.
+    """Ordered record of operations for one or more forward passes.
 
-    Node ids are assigned in execution order, so every input's id is
-    smaller than its output's id and a reverse sweep of the records is
-    topologically safe. ``clear`` drops the records and frees the gradient
-    slots of every tensor the tape touched.
+    Operations execute eagerly, so every output is recorded after its
+    inputs and a reverse sweep of the records is topologically safe.
+    ``clear`` drops the records; gradient slots of leaf tensors such as
+    parameters are left to their owner (``Adam.zero_grads``).
     """
 
     def __init__(self):
         self.records: list[TapeEntry] = []
-        self._watched: list[Tensor] = []
-        self._next_id = 0
 
     def __enter__(self):
         if _active_tape() is not None:
@@ -118,56 +109,32 @@ class Tape:
         _STATE.tape = None
         return False
 
-    def _register(self, t: Tensor) -> int:
-        if t.node_id is None:
-            t.node_id = self._next_id
-            self._next_id += 1
-            self._watched.append(t)
-        return t.node_id
-
-    def record(self, op: str, inputs: Sequence[Tensor], output: Tensor,
-               backward: Callable[[], None]) -> None:
-        ids = tuple(self._register(t) for t in inputs)
-        out_id = self._register(output)
-        self.records.append(TapeEntry(op, ids, out_id, output, backward))
+    def record(self, op: str, output: Tensor, backward: Callable[[], None]) -> None:
+        self.records.append(TapeEntry(op, output, backward))
 
     def backward(self, loss: Tensor) -> None:
         backward(loss, self)
 
     def clear(self) -> None:
-        for t in self._watched:
-            t.grad = None
-            t.node_id = None
         self.records.clear()
-        self._watched.clear()
-        self._next_id = 0
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate gradient slots of everything ``loss`` depends on.
+    """Add the gradient of ``loss`` into the slots of every leaf it reaches.
 
-    Gradients accumulate into existing slots, so two backward passes over
-    different losses add up exactly like one pass over their sum. Tensors
-    the loss cannot reach keep an empty slot (read as zeros).
+    After the sweep every recorded output's slot is reset to None, so
+    intermediate adjoints never leak into a later pass and two backward
+    passes over different losses add up exactly like one pass over their
+    sum. Leaves the loss cannot reach keep their slot (None reads as zeros).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    # Stash gradients left by earlier passes so the replay only propagates
-    # this loss's adjoints, then merge the stash back in afterwards.
-    stash = []
-    for t in tape._watched:
-        if t.grad is not None:
-            stash.append((t, t.grad))
-            t.grad = None
     loss.grad = np.ones_like(loss.data)
     for entry in reversed(tape.records):
         if entry.output.grad is not None:
             entry.backward()
-    for t, g in stash:
-        if t.grad is None:
-            t.grad = g
-        else:
-            t.grad += g
+    for entry in tape.records:
+        entry.output.grad = None
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -177,10 +144,10 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _record(op, inputs, out, backward_fn):
+def _record(op, out, backward_fn):
     tape = _active_tape()
     if tape is not None:
-        tape.record(op, inputs, out, backward_fn)
+        tape.record(op, out, backward_fn)
     return out
 
 
@@ -221,7 +188,7 @@ def add(a: Tensor, b) -> Tensor:
             _accum(a, _reduce_to(g, a.data.shape))
             _accum(b, _reduce_to(g, b.data.shape))
 
-        return _record("add", (a, b), out, back)
+        return _record("add", out, back)
 
     c = _const(b)
     _check_addable(a.data.shape, c.shape)
@@ -230,7 +197,7 @@ def add(a: Tensor, b) -> Tensor:
     def back_const():
         _accum(a, _reduce_to(out.grad, a.data.shape))
 
-    return _record("add", (a,), out, back_const)
+    return _record("add", out, back_const)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -246,7 +213,7 @@ def mul(a: Tensor, b) -> Tensor:
             _accum(a, _reduce_to(g * b.data, a.data.shape))
             _accum(b, _reduce_to(g * a.data, b.data.shape))
 
-        return _record("mul", (a, b), out, back)
+        return _record("mul", out, back)
 
     c = _const(b)
     if c.shape not in ((), a.data.shape):
@@ -256,7 +223,7 @@ def mul(a: Tensor, b) -> Tensor:
     def back_const():
         _accum(a, _reduce_to(out.grad * c, a.data.shape))
 
-    return _record("mul", (a,), out, back_const)
+    return _record("mul", out, back_const)
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -265,7 +232,7 @@ def tanh(x: Tensor) -> Tensor:
     def back():
         _accum(x, (1.0 - out.data * out.data) * out.grad)
 
-    return _record("tanh", (x,), out, back)
+    return _record("tanh", out, back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -274,7 +241,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def back():
         _accum(x, out.data * (1.0 - out.data) * out.grad)
 
-    return _record("sigmoid", (x,), out, back)
+    return _record("sigmoid", out, back)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -283,7 +250,7 @@ def exp(x: Tensor) -> Tensor:
     def back():
         _accum(x, out.data * out.grad)
 
-    return _record("exp", (x,), out, back)
+    return _record("exp", out, back)
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -293,7 +260,7 @@ def tsum(x: Tensor) -> Tensor:
     def back():
         _accum(x, np.broadcast_to(out.grad, x.data.shape))
 
-    return _record("tsum", (x,), out, back)
+    return _record("tsum", out, back)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +297,7 @@ def matmul(a, b) -> Tensor:
             gb = a2.T @ g2
             _accum(bt, gb if bd.ndim == 2 else gb[:, 0])
 
-    inputs = tuple(t for t in (at, bt) if t is not None)
-    return _record("matmul", inputs, out, back)
+    return _record("matmul", out, back)
 
 
 def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
@@ -351,7 +317,7 @@ def concat(a: Tensor, b: Tensor, axis: int = 0) -> Tensor:
         _accum(a, ga)
         _accum(b, gb)
 
-    return _record("concat", (a, b), out, back)
+    return _record("concat", out, back)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -369,7 +335,7 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
         for j, r in enumerate(rows):
             _accum(r, g[j])
 
-    return _record("stack_rows", tuple(rows), out, back)
+    return _record("stack_rows", out, back)
 
 
 def narrow(x: Tensor, start: int, length: int) -> Tensor:
@@ -385,7 +351,7 @@ def narrow(x: Tensor, start: int, length: int) -> Tensor:
             x.grad = np.zeros_like(x.data)
         x.grad[start:start + length] += out.grad
 
-    return _record("narrow", (x,), out, back)
+    return _record("narrow", out, back)
 
 
 def lookup(table: Tensor, index: int) -> Tensor:
@@ -402,7 +368,7 @@ def lookup(table: Tensor, index: int) -> Tensor:
             table.grad = np.zeros_like(table.data)
         table.grad[index] += out.grad
 
-    return _record("lookup", (table,), out, back)
+    return _record("lookup", out, back)
 
 
 def pick(x: Tensor, index: int) -> Tensor:
@@ -418,7 +384,7 @@ def pick(x: Tensor, index: int) -> Tensor:
             x.grad = np.zeros_like(x.data)
         x.grad[index] += out.grad
 
-    return _record("pick", (x,), out, back)
+    return _record("pick", out, back)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +403,7 @@ def log_softmax(x: Tensor) -> Tensor:
         g = out.grad
         _accum(x, g - np.exp(out.data) * g.sum())
 
-    return _record("log_softmax", (x,), out, back)
+    return _record("log_softmax", out, back)
 
 
 def logsumexp_rows(m: Tensor) -> Tensor:
@@ -450,7 +416,7 @@ def logsumexp_rows(m: Tensor) -> Tensor:
     def back():
         _accum(m, np.exp(m.data - out.data) * out.grad)
 
-    return _record("logsumexp_rows", (m,), out, back)
+    return _record("logsumexp_rows", out, back)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -469,7 +435,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     def back():
         _accum(x, out.grad * mask)
 
-    return _record("dropout", (x,), out, back)
+    return _record("dropout", out, back)
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +459,14 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, grads: Sequence[np.ndarray] | None = None) -> None:
-        """One update. ``grads`` defaults to each parameter's gradient slot."""
-        if grads is None:
-            grads = [p.grad_or_zero() for p in self.params]
-        if len(grads) != len(self.params):
-            raise ShapeError(f"expected {len(self.params)} gradients, got {len(grads)}")
+    def step(self) -> None:
+        """One update from each parameter's gradient slot (None reads as zeros)."""
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad_or_zero()
             if g.shape != p.data.shape:
                 raise ShapeError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
             m *= b1

@@ -34,7 +34,7 @@ from .vocab import encode_entry
 
 # every key a config file may set, with its parser
 CONFIG_KEYS = {
-    "seed": int, "variant": str, "dim": int, "out-dir": str,
+    "seed": int, "variant": lambda s: Variant.from_tag(s).value, "dim": int, "out-dir": str,
     "data": str, "weighted-data": str, "split-manifest": str,
     "split-fracs": str, "coverage": lambda s: s.lower() == "true",
     "sample-k": int, "dropout": float, "lr": float, "min-lr": float,
@@ -86,6 +86,13 @@ def parse_fracs(text) -> tuple[float, float, float]:
     except ValueError:
         raise ConfigError(f"bad split fractions {text!r}") from None
     return a, b, c
+
+
+def parse_variants(text) -> list[Variant]:
+    try:
+        return [Variant.from_tag(tag.strip()) for tag in text.split(",")]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def parse_int_list(text, what) -> list[int]:
@@ -328,7 +335,7 @@ def cmd_resample(ns) -> int:
     for k in sizes:
         if k > len(pool_idx):
             raise ConfigError(f"size {k} exceeds the sampling pool of {len(pool_idx)}")
-    variants = [Variant.from_tag(v.strip()) for v in ns.variants.split(",")]
+    variants = parse_variants(ns.variants)
 
     alphabet, vocab = build_vocab(forms, slots)
     pool = [WeightedForm(forms[i], tuple(slots[i]), counts[i]) for i in pool_idx]
@@ -368,6 +375,14 @@ def cmd_resample(ns) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Usage errors end in one ``error:`` line, like every other failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"error: usage: {self.prog}: {message}\n")
+
+
 def add_common(p):
     p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--seed", type=int, default=0)
@@ -398,7 +413,7 @@ def add_train_knobs(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="vecphon",
         description="Morpheme-vector word spelling: train and query "
                     "character-level decoders over continuous underlying forms.")

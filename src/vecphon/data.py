@@ -237,14 +237,29 @@ def write_split_manifest(directory, train: list[int], dev: list[int],
 
 
 def read_split_manifest(directory) -> tuple[list[int], list[int], list[int], int]:
-    def read_idx(name):
+    """The split written by ``write_split_manifest``. A missing or
+    malformed file, or an index listed twice (within or across splits),
+    is a DataError naming the file."""
+    def read_ints(name):
         path = os.path.join(directory, name)
-        if not os.path.exists(path):
-            raise DataError(f"split manifest incomplete: missing {name}")
-        with open(path, "r", encoding="utf-8") as f:
-            return [int(line) for line in f.read().split() if line]
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                return path, [int(tok) for tok in f.read().split()]
+        except OSError as e:
+            raise DataError(f"cannot read split manifest file {path}: {e.strerror}") from None
+        except ValueError:
+            raise DataError(f"{path}: expected one integer per line") from None
 
-    train, dev, test = (read_idx(n) for n in ("train.idx", "dev.idx", "test.idx"))
-    with open(os.path.join(directory, "seed.txt"), "r", encoding="utf-8") as f:
-        seed = int(f.read().strip())
-    return train, dev, test, seed
+    seen: set[int] = set()
+    splits = []
+    for name in ("train.idx", "dev.idx", "test.idx"):
+        path, idx = read_ints(name)
+        for i in idx:
+            if i in seen:
+                raise DataError(f"{path}: index {i} is listed more than once in the split")
+            seen.add(i)
+        splits.append(idx)
+    path, seed = read_ints("seed.txt")
+    if len(seed) != 1:
+        raise DataError(f"{path}: expected a single integer seed")
+    return splits[0], splits[1], splits[2], seed[0]

@@ -140,14 +140,6 @@ def attention_weights(h: Tensor, m_rows: Tensor, attn_t: Tensor) -> Tensor:
     return ad.exp(attention_log_weights(h, m_rows, attn_t))
 
 
-@dataclass
-class UFGaussian:
-    """Distribution over a word's underlying form: the given mean with
-    identity covariance, which is fixed and never learned."""
-
-    mean: Tensor
-
-
 def uf_pos_independent_mean(m_rows: Tensor) -> Tensor:
     """Arithmetic mean of the morpheme rows: the word's single UF mean."""
     k = m_rows.data.shape[0]
@@ -156,17 +148,9 @@ def uf_pos_independent_mean(m_rows: Tensor) -> Tensor:
     return ad.matmul(np.full(k, 1.0 / k), m_rows)
 
 
-def uf_pos_independent(m_rows: Tensor) -> UFGaussian:
-    return UFGaussian(uf_pos_independent_mean(m_rows))
-
-
 def uf_pos_dependent_mean(h: Tensor, m_rows: Tensor, attn_t: Tensor) -> Tensor:
     """Attention-weighted mean of morpheme rows at the current state."""
     return ad.matmul(attention_weights(h, m_rows, attn_t), m_rows)
-
-
-def uf_pos_dependent(h: Tensor, m_rows: Tensor, attn_t: Tensor) -> UFGaussian:
-    return UFGaussian(uf_pos_dependent_mean(h, m_rows, attn_t))
 
 
 def joint_emission(h: Tensor, m_rows: Tensor, params: ModelParams) -> Tensor:
@@ -195,12 +179,12 @@ class IncrementalDecoder:
 
     Everything fixed for the word is set up once: the morpheme embedding
     rows (with dropout in training mode), the variant, and the noise
-    policy. ``eps`` is a callable returning the next Gaussian noise
+    source. ``eps`` is a callable returning the next Gaussian noise
     vector; None means noise pinned to zero (the distribution mean),
     which is the evaluation-time convention. The position-independent
     variant consumes one noise draw for the whole word, the
-    position-dependent variant one draw per step (or one per word when
-    ``eps_per_step`` is off), and the joint variant none.
+    position-dependent variant one draw per step, and the joint variant
+    none.
 
     ``step`` consumes the previous symbol's embedding-table id (BOS
     first) and returns the log-distribution over the next symbol.
@@ -210,8 +194,7 @@ class IncrementalDecoder:
                  morphemes: Sequence[int], *,
                  training: bool = False, dropout: float = 0.0,
                  drop_rng: np.random.Generator | None = None,
-                 eps: Callable[[], np.ndarray] | None = None,
-                 eps_per_step: bool = True):
+                 eps: Callable[[], np.ndarray] | None = None):
         if len(morphemes) == 0:
             raise DataError("a word needs at least one morpheme")
         self.params = params
@@ -220,16 +203,12 @@ class IncrementalDecoder:
         self.dropout = dropout
         self.drop_rng = drop_rng
         self.eps = eps
-        self.eps_per_step = eps_per_step
 
         rows = [self._dropped(ad.lookup(params.morph_emb, m)) for m in morphemes]
         self.m_rows = ad.stack_rows(rows)
 
         if variant is Variant.POS_INDEPENDENT:
             self.u = self._noised(uf_pos_independent_mean(self.m_rows))
-        elif variant is Variant.POS_DEPENDENT and not eps_per_step:
-            self._word_eps = eps() if eps is not None else None
-        # joint: no precomputation
 
     def _dropped(self, t: Tensor) -> Tensor:
         if self.training and self.dropout > 0.0:
@@ -237,6 +216,8 @@ class IncrementalDecoder:
         return t
 
     def _noised(self, mean: Tensor) -> Tensor:
+        """u = mean + eps; the noise is a graph constant, so gradients flow
+        through the mean only (the reparameterization)."""
         if self.eps is None:
             return mean
         return mean + np.asarray(self.eps(), dtype=np.float64)
@@ -255,13 +236,7 @@ class IncrementalDecoder:
         if self.variant is Variant.POS_INDEPENDENT:
             logdist = emission(h, self.u, self.params)
         elif self.variant is Variant.POS_DEPENDENT:
-            mean = uf_pos_dependent_mean(h, self.m_rows, self.params.attn_t)
-            if self.eps is None:
-                u = mean
-            elif self.eps_per_step:
-                u = mean + np.asarray(self.eps(), dtype=np.float64)
-            else:
-                u = mean + self._word_eps if self._word_eps is not None else mean
+            u = self._noised(uf_pos_dependent_mean(h, self.m_rows, self.params.attn_t))
             logdist = emission(h, u, self.params)
         else:
             logdist = joint_emission(h, self.m_rows, self.params)
@@ -271,15 +246,15 @@ class IncrementalDecoder:
 def word_logprob(variant: Variant, entry: LexiconEntry, params: ModelParams,
                  alphabet: Alphabet, *,
                  eps: Callable[[], np.ndarray] | None = None,
-                 eps_per_step: bool = True,
                  training: bool = False, dropout: float = 0.0,
                  drop_rng: np.random.Generator | None = None) -> Tensor:
     """Teacher-forced log p(surface | morphemes), summed over every
-    character position plus the final EOS emission. ``eps`` None scores
-    at the noise-free mean."""
+    character position plus the final EOS emission. ``eps`` supplies the
+    underlying-form noise as in ``IncrementalDecoder``; None scores at the
+    noise-free mean."""
     dec = IncrementalDecoder(params, variant, entry.morphemes,
                              training=training, dropout=dropout,
-                             drop_rng=drop_rng, eps=eps, eps_per_step=eps_per_step)
+                             drop_rng=drop_rng, eps=eps)
     state = dec.start_state()
     prev = alphabet.bos_id
     total = None
@@ -317,38 +292,6 @@ def greedy_decode(variant: Variant, morphemes: Sequence[int], params: ModelParam
         out.append(sym)
         prev = sym
     return tuple(out)
-
-
-def beam_decode(variant: Variant, morphemes: Sequence[int], params: ModelParams,
-                alphabet: Alphabet, max_len: int, beam_size: int = 4) -> tuple[int, ...]:
-    """Beam search at the noise-free mean; returns the best finished
-    hypothesis (or the best unfinished one at the length cap)."""
-    if beam_size < 1:
-        raise DataError(f"beam_size must be >= 1, got {beam_size}")
-    dec = IncrementalDecoder(params, variant, morphemes)
-    # hypotheses: (score, symbols, prev id, state)
-    beams = [(0.0, (), alphabet.bos_id, dec.start_state())]
-    finished: list[tuple[float, tuple[int, ...]]] = []
-    for _ in range(max_len):
-        candidates = []
-        for score, syms, prev, state in beams:
-            logdist, new_state = dec.step(state, prev)
-            lp = logdist.data
-            for sym in np.argsort(-lp)[:beam_size]:
-                sym = int(sym)
-                cand_score = score + float(lp[sym])
-                if sym == alphabet.eos_out:
-                    finished.append((cand_score, syms))
-                else:
-                    candidates.append((cand_score, syms + (sym,), sym, new_state))
-        if not candidates:
-            break
-        candidates.sort(key=lambda b: (-b[0], b[1]))
-        beams = candidates[:beam_size]
-    if finished:
-        finished.sort(key=lambda f: (-f[0], f[1]))
-        return finished[0][1]
-    return beams[0][1] if beams else ()
 
 
 def default_max_len(train_entries: Sequence[LexiconEntry]) -> int:

@@ -23,8 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tape, Tensor, clip_global_norm
 from .errors import ConfigError, NumericError, TrainingError
-from .model import (ModelParams, UFGaussian, Variant, init_params,
-                    word_logprob)
+from .model import ModelParams, Variant, init_params, word_logprob
 from .seeds import derive_rng
 from .vocab import Alphabet, LexiconEntry, MorphemeVocab
 
@@ -43,9 +42,10 @@ class TrainConfig:
     batch_size: int = 1
     max_epochs: int = 100
     seed: int = 0
-    eps_per_step: bool = True  # noise policy for the position-dependent variant
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.d}")
         if not 0.0 < self.min_lr <= self.lr:
             raise ConfigError(f"need 0 < min_lr <= lr, got lr={self.lr}, min_lr={self.min_lr}")
         if self.patience < 1:
@@ -116,17 +116,10 @@ class PlateauSchedule:
         return "waited"
 
 
-def reparam_sample(uf: UFGaussian, rng: np.random.Generator) -> Tensor:
-    """One reparameterized draw u = mean + eps, eps ~ N(0, I). The noise
-    is a constant in the graph, so gradients flow through the mean only."""
-    return uf.mean + rng.standard_normal(uf.mean.data.shape[0])
-
-
 def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
                    alphabet: Alphabet, rng: np.random.Generator | None, *,
                    training: bool = False, dropout: float = 0.0,
-                   drop_rng: np.random.Generator | None = None,
-                   eps_per_step: bool = True) -> Tensor:
+                   drop_rng: np.random.Generator | None = None) -> Tensor:
     """Negative log-likelihood at one underlying-form sample.
 
     With rng None (or for the joint variant, always) the noise is pinned
@@ -138,8 +131,7 @@ def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
         d = params.d
         eps = lambda: rng.standard_normal(d)
     lp = word_logprob(variant, entry, params, alphabet, eps=eps,
-                      eps_per_step=eps_per_step, training=training,
-                      dropout=dropout, drop_rng=drop_rng)
+                      training=training, dropout=dropout, drop_rng=drop_rng)
     return ad.mul(lp, -1.0)
 
 
@@ -202,7 +194,7 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
                         loss = elbo_word_loss(
                             config.variant, entry, params, alphabet, noise_rng,
                             training=True, dropout=config.dropout,
-                            drop_rng=drop_rng, eps_per_step=config.eps_per_step)
+                            drop_rng=drop_rng)
                         loss_sum += loss.item()
                         tape.backward(loss)
                     for p in params.tensors():

@@ -211,14 +211,60 @@ def test_resample_size_beyond_pool_is_config_error(tmp_path):
     assert rc == 2
 
 
-def test_exit_codes(tmp_path):
-    assert main(["train", "--out-dir", str(tmp_path / "x")]) == 2  # no corpus
-    assert main(["train", "--no-such-flag"]) == 2                  # usage
-    assert main(["predict", "--checkpoint", str(tmp_path / "nope.vpck"),
-                 "--morphemes", "a+b", "--out-dir", str(tmp_path)]) == 1
-    assert main(["--help"]) == 0
-    assert main(["train", "--help"]) == 0
-    assert main([]) == 2  # subcommand required
+def write_manifest(directory, **files):
+    """A split manifest directory; a file given as None is left out."""
+    directory.mkdir()
+    base = {"train.idx": "0\n1\n2\n3\n4\n5\n", "dev.idx": "6\n", "test.idx": "7\n",
+            "seed.txt": "0\n"}
+    for name, text in {**base, **files}.items():
+        if text is not None:
+            (directory / name).write_text(text)
+    return str(directory)
+
+
+def test_exit_codes(tmp_path, capsys):
+    data, out = train_toy(tmp_path)
+    ckpt = os.path.join(out, "checkpoint.vpck")
+    wdata = tmp_path / "w.tsv"
+    synthlang.write_weighted_tsv(wdata, synthlang.harmony_slots(6, 4),
+                                 np.random.default_rng(0))
+    bad_variant = tmp_path / "bad-variant.cfg"
+    bad_variant.write_text("variant=bogus\n")
+    manifests = {
+        "non-integer": write_manifest(tmp_path / "m1", **{"dev.idx": "6\nsix\n"}),
+        "no-seed": write_manifest(tmp_path / "m2", **{"seed.txt": None}),
+        "repeated": write_manifest(tmp_path / "m3", **{"train.idx": "0\n1\n1\n"}),
+        "overlap": write_manifest(tmp_path / "m4", **{"test.idx": "7\n6\n"}),
+    }
+    x = str(tmp_path / "x")
+    train = ["train", "--data", data, "--out-dir", x, "--dim", "8", "--epochs", "1"]
+    evaluate = ["evaluate", "--checkpoint", ckpt, "--data", data, "--out-dir", x]
+    cases = [
+        (["--help"], 0),
+        (["train", "--help"], 0),
+        ([], 2),                                       # subcommand required
+        (["train", "--no-such-flag"], 2),              # usage
+        (["train", "--out-dir", x], 2),                # no corpus
+        (["train", "--config", str(bad_variant), "--data", data, "--out-dir", x], 2),
+        (["resample", "--weighted-data", str(wdata), "--variants", "bogus",
+          "--sizes", "4", "--out-dir", x], 2),
+        (["train", "--data", data, "--out-dir", x, "--dim", "0"], 2),
+        (["predict", "--checkpoint", str(tmp_path / "nope.vpck"),
+          "--morphemes", "a+b", "--out-dir", x], 1),
+    ]
+    for name, manifest in manifests.items():
+        cases.append((train + ["--split-manifest", manifest], 1))
+        cases.append((evaluate + ["--split-manifest", manifest], 1))
+
+    for argv, code in cases:
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == (0 if code == 0 else 1), (argv, err)
+        if "--split-manifest" in argv:
+            assert argv[-1] in errors[0], (argv, err)  # names the manifest file
 
 
 def test_train_with_sample_k(tmp_path):

@@ -11,7 +11,7 @@ from vecphon import model as md
 from vecphon.autodiff import Tape, Tensor
 from vecphon.errors import DataError
 from vecphon.model import (IncrementalDecoder, ModelParams, Variant,
-                           attention_weights, beam_decode, emission,
+                           attention_weights, emission,
                            greedy_decode, init_params, joint_emission,
                            lstm_step, uf_pos_dependent_mean,
                            uf_pos_independent_mean, word_logprob)
@@ -258,33 +258,6 @@ def test_greedy_decode_deterministic_and_capped():
         assert len(a) <= 8
     with pytest.raises(DataError):
         greedy_decode(Variant.JOINT, [0], params, alphabet, max_len=0)
-
-
-def test_beam_size_one_matches_greedy():
-    for seed in range(4):
-        alphabet, params, _ = tiny_setup(seed=seed)
-        for variant in ALL_VARIANTS:
-            g = greedy_decode(variant, [0, 1], params, alphabet, max_len=8)
-            b = beam_decode(variant, [0, 1], params, alphabet, max_len=8, beam_size=1)
-            assert g == b
-
-
-def test_beam_score_never_below_greedy():
-    alphabet, params, _ = tiny_setup(seed=15)
-
-    def score(variant, syms):
-        entry = LexiconEntry(morphemes=(0, 1), form=tuple(syms)) if syms else None
-        if entry is None:
-            # empty output: just the EOS step
-            dec = IncrementalDecoder(params, variant, [0, 1])
-            logdist, _ = dec.step(dec.start_state(), alphabet.bos_id)
-            return float(logdist.data[alphabet.eos_out])
-        return word_logprob(variant, entry, params, alphabet).item()
-
-    for variant in ALL_VARIANTS:
-        g = greedy_decode(variant, [0, 1], params, alphabet, max_len=6)
-        b = beam_decode(variant, [0, 1], params, alphabet, max_len=6, beam_size=4)
-        assert score(variant, b) >= score(variant, g) - 1e-12
 
 
 def test_morpheme_gradient_sparsity():

@@ -8,13 +8,12 @@ import pytest
 
 from vecphon import autodiff as ad
 from vecphon import training as tr
-from vecphon.autodiff import Adam, Tape, Tensor
+from vecphon.autodiff import Adam, Tape, clip_global_norm
 from vecphon.errors import ConfigError, TrainingError
-from vecphon.model import (UFGaussian, Variant, init_params,
-                           uf_pos_independent, word_logprob)
-from vecphon.training import (PlateauSchedule, TrainConfig, TrainLog,
-                              elbo_word_loss, mean_dev_loss, reparam_sample,
-                              train)
+from vecphon.model import Variant, init_params, word_logprob
+from vecphon.seeds import derive_rng
+from vecphon.training import (PlateauSchedule, TrainConfig, elbo_word_loss,
+                              mean_dev_loss, train)
 from vecphon.vocab import Alphabet, LexiconEntry
 
 ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
@@ -38,6 +37,8 @@ def test_config_validation():
         make_config(batch_size=0)
     with pytest.raises(ConfigError):
         make_config(max_epochs=0)
+    with pytest.raises(ConfigError):
+        make_config(d=0)
 
 
 def test_plateau_schedule_seven_halvings_then_stop():
@@ -66,25 +67,6 @@ def test_plateau_improvement_needs_margin():
     s.update(1.0)
     assert s.update(1.0 - 1e-9) == "halved"  # within tolerance: not better
     assert s.update(0.9) == "improved"
-
-
-def test_reparam_sample_mean_and_moments():
-    rng = np.random.default_rng(0)
-    mean = np.array([0.5, -1.5, 2.0])
-    uf = UFGaussian(Tensor(mean))
-    n = 100_000
-    draws = np.stack([reparam_sample(uf, rng).data for _ in range(n)])
-    assert np.all(np.abs(draws.mean(axis=0) - mean) < 3.0 / np.sqrt(n))
-    assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.05)
-
-
-def test_reparam_gradient_flows_through_mean():
-    rng = np.random.default_rng(1)
-    mean = Tensor(np.array([1.0, -2.0]))
-    with Tape() as tape:
-        u = reparam_sample(UFGaussian(mean), rng)
-        tape.backward(ad.tsum(ad.mul(u, u)))  # ||u||^2
-    assert np.allclose(mean.grad, 2.0 * u.data)
 
 
 def test_elbo_identities():
@@ -164,6 +146,44 @@ def test_batch_gradient_sparsity(tiny_harmony):
     for row in range(len(vocab)):
         hit = np.any(params.morph_emb.grad[row] != 0.0)
         assert hit == (row in used_morphs)
+
+
+def test_batch_step_uses_mean_of_per_word_gradients(tiny_harmony, monkeypatch):
+    # two words, one batch, one epoch: train takes exactly one Adam step,
+    # which must match a step on the mean of gradients from separate tapes
+    slots, alphabet, vocab, entries = tiny_harmony
+    words = entries[:2]
+    after_step = []
+
+    class RecordingAdam(Adam):
+        def step(self):
+            super().step()
+            after_step.append([p.data.copy() for p in self.params])
+
+    monkeypatch.setattr(tr, "Adam", RecordingAdam)
+    for variant in ALL_VARIANTS:
+        cfg = make_config(variant=variant, batch_size=2, max_epochs=1, seed=11)
+        after_step.clear()
+        train(cfg, words, entries, alphabet, vocab)
+        assert len(after_step) == 1
+
+        params = init_params(derive_rng(cfg.seed, "init"), len(vocab), alphabet, cfg.d)
+        noise_rng = derive_rng(cfg.seed, "noise")
+        grads = []
+        for i in derive_rng(cfg.seed, "order").permutation(len(words)):
+            with Tape() as tape:
+                tape.backward(elbo_word_loss(variant, words[i], params, alphabet,
+                                             noise_rng, training=True))
+            grads.append([p.grad_or_zero().copy() for p in params.tensors()])
+            for p in params.tensors():
+                p.grad = None
+        for p, g0, g1 in zip(params.tensors(), *grads):
+            p.grad = (g0 + g1) / 2.0
+        clip_global_norm(params.tensors(), tr.GRAD_NORM_CAP)
+        opt = Adam(params.tensors(), lr=cfg.lr)
+        opt.step()
+        for got, p in zip(after_step[0], params.tensors()):
+            assert np.allclose(got, p.data, rtol=0, atol=1e-12)
 
 
 def test_train_deterministic_and_loss_decreases(tiny_harmony):
