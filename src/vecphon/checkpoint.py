@@ -20,9 +20,8 @@ import struct
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import CheckpointError
-from .model import ModelParams, Variant
+from .model import ModelParams, Variant, param_shapes
 from .vocab import Alphabet, MorphemeVocab
 
 MAGIC = b"VPCK"
@@ -71,14 +70,14 @@ def save_checkpoint(path, params: ModelParams, variant: Variant,
     _write_u32(buf, len(vocab))
     for m in vocab.identifiers:
         _write_string(buf, m)
-    named = params.named_tensors()
+    named = params.named_arrays()
     _write_u32(buf, len(named))
-    for name, t in named.items():
+    for name, arr in named.items():
         _write_string(buf, name)
-        _write_u32(buf, t.data.ndim)
-        for dim in t.data.shape:
+        _write_u32(buf, arr.ndim)
+        for dim in arr.shape:
             _write_u32(buf, dim)
-        payload = np.ascontiguousarray(t.data, dtype="<f4")
+        payload = np.ascontiguousarray(arr, dtype="<f4")
         buf.write(payload.tobytes())
     with open(path, "wb") as f:
         f.write(buf.getvalue())
@@ -112,7 +111,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab
         if vocab.identifiers != tuple(idents):
             raise CheckpointError("morpheme listing is not sorted and unique")
         n_tensors = _read_u32(f, "tensor count")
-        tensors: dict[str, Tensor] = {}
+        tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):
             name = _read_string(f, "tensor name")
             rank = _read_u32(f, f"{name} rank")
@@ -121,8 +120,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab
             shape = tuple(_read_u32(f, f"{name} dim") for _ in range(rank))
             n_vals = int(np.prod(shape, dtype=np.int64)) if shape else 1
             raw = _read_exact(f, 4 * n_vals, f"{name} payload")
-            values = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
-            tensors[name] = Tensor(values)
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         if f.read(1):
             raise CheckpointError("trailing bytes after last tensor")
 
@@ -133,20 +131,13 @@ def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab
     if extra:
         raise CheckpointError(f"unexpected tensors: {', '.join(extra)}")
 
-    expected = {
-        "morph_emb": (n_morph, d),
-        "char_emb": (alphabet.table_size, d),
-        "lstm_wx": (4 * d, d),
-        "lstm_wh": (4 * d, d),
-        "lstm_b": (4 * d,),
-        "readout_w": (2 * d, 2 * d),
-        "readout_v": (alphabet.out_size, 2 * d),
-        "attn_t": (d, d),
-    }
+    expected = param_shapes(d, n_morph, alphabet)
     for name, shape in expected.items():
-        if tensors[name].data.shape != shape:
-            raise CheckpointError(f"tensor {name} has shape {tensors[name].data.shape}, "
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"tensor {name} has shape {tensors[name].shape}, "
                                   f"expected {shape}")
-    params = ModelParams(d=d, **tensors)
+    params = ModelParams(expected)
+    for name, arr in params.named_arrays().items():
+        arr[...] = tensors[name]
     params.check_finite()
     return params, variant, alphabet, vocab

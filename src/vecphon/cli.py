@@ -32,14 +32,22 @@ from .seeds import derive_rng, derive_seed
 from .training import TrainConfig, train
 from .vocab import encode_entry
 
+
+def parse_bool(s: str) -> bool:
+    low = s.lower()
+    if low not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {s!r}")
+    return low == "true"
+
+
 # every key a config file may set, with its parser
 CONFIG_KEYS = {
     "seed": int, "variant": lambda s: Variant.from_tag(s).value, "dim": int, "out-dir": str,
     "data": str, "weighted-data": str, "split-manifest": str,
-    "split-fracs": str, "coverage": lambda s: s.lower() == "true",
+    "split-fracs": str, "coverage": parse_bool,
     "sample-k": int, "dropout": float, "lr": float, "min-lr": float,
     "patience": int, "batch-size": int, "epochs": int, "max-len": int,
-    "checkpoint": str, "input": str, "morphemes": str, "gold": lambda s: s.lower() == "true",
+    "checkpoint": str, "input": str, "morphemes": str, "gold": parse_bool,
     "out": str, "projection": str, "similarity": str,
     "sizes": str, "resamples": int, "variants": str, "run-name": str,
 }
@@ -224,7 +232,13 @@ def read_prediction_requests(ns):
     return requests
 
 
+def check_max_len(ns) -> None:
+    if ns.max_len < 1:
+        raise ConfigError(f"max-len must be >= 1, got {ns.max_len}")
+
+
 def cmd_predict(ns) -> int:
+    check_max_len(ns)
     params, variant, alphabet, vocab = load_checkpoint(ns.checkpoint)
     requests = read_prediction_requests(ns)
     out_lines = []
@@ -261,6 +275,7 @@ def report_table(name, variant, rep: EvalReport) -> str:
 
 
 def cmd_evaluate(ns) -> int:
+    check_max_len(ns)
     params, variant, alphabet, vocab = load_checkpoint(ns.checkpoint)
     slots, forms, counts = load_slotted_corpus(ns)
     if ns.split_manifest:
@@ -311,7 +326,7 @@ def cmd_export_embeddings(ns) -> int:
         parts = ns.similarity.split(",")
         if len(parts) != 2:
             raise ConfigError(f"--similarity needs two comma-separated identifiers, got {ns.similarity!r}")
-        a, b = (params.morph_emb.data[vocab.index(p)] for p in parts)
+        a, b = (params.morph_emb[vocab.index(p)] for p in parts)
         print(f"{cosine(a, b):.6f}")
         return 0
     rows = export_rows(params, vocab, ns.projection)
@@ -324,6 +339,7 @@ def cmd_export_embeddings(ns) -> int:
 
 
 def cmd_resample(ns) -> int:
+    check_max_len(ns)
     if not ns.weighted_data:
         raise ConfigError("resample needs --weighted-data")
     rows = parse_weighted_tsv(ns.weighted_data)

@@ -140,7 +140,7 @@ def sample_training_set(corpus: Sequence[WeightedForm], k: int,
     counts = np.array([w.count for w in corpus], dtype=np.float64)
     if counts.sum() <= 0:
         raise DataError("all token counts are zero")
-    picked: list[int] = []
+    chosen: list[int] = []
     alive = list(range(n))
     for _ in range(k):
         weights = counts[alive]
@@ -156,8 +156,8 @@ def sample_training_set(corpus: Sequence[WeightedForm], k: int,
             if r < acc:
                 choice = pos
                 break
-        picked.append(alive.pop(choice))
-    return [corpus[i] for i in picked]
+        chosen.append(alive.pop(choice))
+    return [corpus[i] for i in chosen]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def export_rows(params: ModelParams, vocab: MorphemeVocab,
     rows or their 2-D projection."""
     if projection not in PROJECTIONS:
         raise ConfigError(f"unknown projection {projection!r}; choose from {PROJECTIONS}")
-    table = params.morph_emb.data
+    table = params.morph_emb
     if projection == "pca2":
         table = pca2(table)
     return [(vocab.identifier(i), table[i].copy()) for i in range(len(vocab))]

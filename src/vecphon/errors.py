@@ -10,7 +10,7 @@ class VecphonError(Exception):
 
 
 class ShapeError(VecphonError):
-    """Tensor dimensions do not line up for the requested operation."""
+    """Array dimensions do not line up for the requested operation."""
 
 
 class NumericError(VecphonError):

@@ -17,19 +17,27 @@ The decoder starts from a zero state and first reads BOS, so the
 morpheme pathway is the only source of morphological information. EOS is
 part of the output space and is scored at the final position of every
 word.
+
+The model is plain numpy. Scoring a known form (``WordPass``) runs the
+LSTM recurrence step by step and everything else on all T = |form| + 1
+steps at once: the input projection is one matrix product, and the
+readout, attention and joint mixture work on T rows (T*k rows for the
+joint variant's k morphemes). ``WordPass.nll_backward`` is the
+hand-derived gradient of that pass, with one weight-gradient matrix
+product per word and parameter (Appleyard et al. 2016, arXiv:1604.01946).
+``IncrementalDecoder`` drives the same cell and readout one symbol at a
+time, for greedy decoding.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Sequence
+import math
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, ShapeError
 from .vocab import Alphabet, LexiconEntry
 
 
@@ -47,9 +55,8 @@ class Variant(enum.Enum):
                          + ", ".join(v.value for v in cls))
 
 
-@dataclass
-class ModelParams:
-    """All trainable tensors. Shapes for hidden size d, |M| morphemes and
+def param_shapes(d: int, n_morphemes: int, alphabet: Alphabet) -> dict[str, tuple[int, ...]]:
+    """Shapes of the trainable arrays for hidden size d, |M| morphemes and
     n surface symbols:
 
       morph_emb (|M|, d)    char_emb (n+3, d)
@@ -58,217 +65,366 @@ class ModelParams:
 
     LSTM gate blocks are stacked input/forget/output/candidate.
     """
+    return {
+        "morph_emb": (n_morphemes, d),
+        "char_emb": (alphabet.table_size, d),
+        "lstm_wx": (4 * d, d),
+        "lstm_wh": (4 * d, d),
+        "lstm_b": (4 * d,),
+        "readout_w": (2 * d, 2 * d),
+        "readout_v": (alphabet.out_size, 2 * d),
+        "attn_t": (d, d),
+    }
 
-    d: int
-    morph_emb: Tensor
-    char_emb: Tensor
-    lstm_wx: Tensor
-    lstm_wh: Tensor
-    lstm_b: Tensor
-    readout_w: Tensor
-    readout_v: Tensor
-    attn_t: Tensor
+
+class ModelParams:
+    """All trainable arrays (see ``param_shapes``) as views into one
+    contiguous float64 buffer, ``flat``, in FIELD_NAMES order.
+
+    Whole-buffer code (the optimizer, clipping, snapshots) works on
+    ``flat``; model code reads the named views. Write into a field
+    (``params.lstm_b[:] = ...``) rather than rebinding it, or it stops
+    being a view of the buffer. ``like`` lays the same fields over
+    another buffer, which is how gradients are held.
+    """
 
     FIELD_NAMES = ("morph_emb", "char_emb", "lstm_wx", "lstm_wh", "lstm_b",
                    "readout_w", "readout_v", "attn_t")
 
-    def named_tensors(self) -> dict[str, Tensor]:
+    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+        self.shapes = {name: tuple(shapes[name]) for name in self.FIELD_NAMES}
+        self.d = self.shapes["attn_t"][0]
+        sizes = [math.prod(self.shapes[name]) for name in self.FIELD_NAMES]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        if flat.dtype != np.float64 or flat.shape != (sum(sizes),) or not flat.flags.c_contiguous:
+            raise ShapeError(f"parameter buffer must be contiguous float64 of length "
+                             f"{sum(sizes)}, got {flat.dtype} {flat.shape}")
+        self.flat = flat
+        offset = 0
+        for name, size in zip(self.FIELD_NAMES, sizes):
+            setattr(self, name, flat[offset:offset + size].reshape(self.shapes[name]))
+            offset += size
+
+    def like(self, flat: np.ndarray | None = None) -> "ModelParams":
+        """The same fields over another buffer (fresh zeros if None)."""
+        return ModelParams(self.shapes, flat)
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.FIELD_NAMES}
 
-    def tensors(self) -> list[Tensor]:
-        return [getattr(self, name) for name in self.FIELD_NAMES]
-
     def check_finite(self) -> None:
-        for name, t in self.named_tensors().items():
-            if not np.all(np.isfinite(t.data)):
+        if np.isfinite(self.flat).all():
+            return
+        for name, arr in self.named_arrays().items():
+            if not np.isfinite(arr).all():
                 raise NumericError(f"non-finite values in parameter {name}")
 
 
 def init_params(rng: np.random.Generator, n_morphemes: int,
                 alphabet: Alphabet, d: int) -> ModelParams:
     """Fresh parameters: weight matrices N(0, 0.01), biases 0, embedding
-    tables N(0, 1) matching the standard-normal prior on morpheme vectors."""
+    tables N(0, 1) matching the standard-normal prior on morpheme vectors.
+    Arrays are drawn in FIELD_NAMES order straight into the buffer."""
     if d < 1 or n_morphemes < 1:
         raise DataError(f"bad model size: d={d}, morphemes={n_morphemes}")
-
-    def weights(*shape):
-        return Tensor(rng.normal(0.0, 0.1, size=shape))
-
-    return ModelParams(
-        d=d,
-        morph_emb=Tensor(rng.normal(0.0, 1.0, size=(n_morphemes, d))),
-        char_emb=Tensor(rng.normal(0.0, 1.0, size=(alphabet.table_size, d))),
-        lstm_wx=weights(4 * d, d),
-        lstm_wh=weights(4 * d, d),
-        lstm_b=Tensor(np.zeros(4 * d)),
-        readout_w=weights(2 * d, 2 * d),
-        readout_v=weights(alphabet.out_size, 2 * d),
-        attn_t=weights(d, d),
-    )
+    params = ModelParams(param_shapes(d, n_morphemes, alphabet))
+    for name, arr in params.named_arrays().items():
+        if name == "lstm_b":
+            continue
+        scale = 1.0 if name in ("morph_emb", "char_emb") else 0.1
+        arr[...] = rng.normal(0.0, scale, size=arr.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
-# building blocks
+# building blocks; each works on one row or on a stack of rows
 
-def lstm_step(params: ModelParams, x: Tensor, h: Tensor, c: Tensor):
-    """One LSTM-cell update on input x; returns (new hidden, new cell)."""
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Numerically stable log softmax along the last axis."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError("log_softmax received non-finite input")
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def log_softmax_backward(logp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient with respect to the input of ``logp = log_softmax(x)``,
+    given the gradient ``g`` with respect to ``logp``."""
+    return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+
+
+def logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp of ``x`` along ``axis``, which is dropped."""
+    top = x.max(axis=axis, keepdims=True)
+    return (top + np.log(np.exp(x - top).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def logsumexp_backward(x: np.ndarray, out: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Gradient with respect to ``x`` of ``out = logsumexp(x, axis)``,
+    given the gradient ``g`` with respect to ``out``."""
+    return np.exp(x - np.expand_dims(out, axis)) * np.expand_dims(g, axis)
+
+
+def dropout_masks(rng: np.random.Generator, rate: float, shape) -> np.ndarray:
+    """Inverted-dropout masks: 0 with probability ``rate``, else
+    1/(1 - rate), so evaluation needs no rescaling. One row drawn at a
+    time gives the same values as the whole block."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def lstm_step(params: ModelParams, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """One LSTM-cell update. ``zx`` is the input's share of the gate
+    pre-activations, W_x x + b. Returns (new hidden, new cell, gate
+    activations [i, f, o, g])."""
     d = params.d
-    z = ad.matmul(params.lstm_wx, x) + ad.matmul(params.lstm_wh, h) + params.lstm_b
-    gi = ad.sigmoid(ad.narrow(z, 0, d))
-    gf = ad.sigmoid(ad.narrow(z, d, d))
-    go = ad.sigmoid(ad.narrow(z, 2 * d, d))
-    cand = ad.tanh(ad.narrow(z, 3 * d, d))
-    c2 = ad.mul(gf, c) + ad.mul(gi, cand)
-    h2 = ad.mul(go, ad.tanh(c2))
-    return h2, c2
+    z = zx + params.lstm_wh @ h
+    gates = np.empty_like(z)
+    gates[:3 * d] = 1.0 / (1.0 + np.exp(-z[:3 * d]))
+    gates[3 * d:] = np.tanh(z[3 * d:])
+    i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
+    c2 = f * c + i * g
+    h2 = o * np.tanh(c2)
+    return h2, c2, gates
 
 
-def emission(h: Tensor, u: Tensor, params: ModelParams) -> Tensor:
-    """log p(next symbol) over surface symbols plus EOS, from decoder
-    state h and underlying form u: log_softmax(V tanh(W [h; u]))."""
-    hidden = ad.tanh(ad.matmul(params.readout_w, ad.concat(h, u)))
-    return ad.log_softmax(ad.matmul(params.readout_v, hidden))
+def readout(params: ModelParams, hu: np.ndarray):
+    """(tanh(W hu), log_softmax(V tanh(W hu))) per row of decoder-state /
+    underlying-form pairs hu = [h; u]: the hidden readout layer and the
+    log-distribution over surface symbols plus EOS."""
+    a = np.tanh(hu @ params.readout_w.T)
+    return a, log_softmax(a @ params.readout_v.T)
 
 
-def attention_log_weights(h: Tensor, m_rows: Tensor, attn_t: Tensor) -> Tensor:
-    """log of the softmax over morphemes j of h^T T m_j, at the current h."""
-    scores = ad.matmul(m_rows, ad.matmul(h, attn_t))
-    return ad.log_softmax(scores)
+def attention_log_weights(h: np.ndarray, m_rows: np.ndarray, attn_t: np.ndarray) -> np.ndarray:
+    """log of the softmax over morphemes j of h^T T m_j, per row of h."""
+    return log_softmax((h @ attn_t) @ m_rows.T)
 
 
-def attention_weights(h: Tensor, m_rows: Tensor, attn_t: Tensor) -> Tensor:
-    return ad.exp(attention_log_weights(h, m_rows, attn_t))
-
-
-def uf_pos_independent_mean(m_rows: Tensor) -> Tensor:
+def uf_pos_independent_mean(m_rows: np.ndarray) -> np.ndarray:
     """Arithmetic mean of the morpheme rows: the word's single UF mean."""
-    k = m_rows.data.shape[0]
+    k = m_rows.shape[0]
     if k == 0:
         raise DataError("cannot build an underlying form from zero morphemes")
-    return ad.matmul(np.full(k, 1.0 / k), m_rows)
+    return np.full(k, 1.0 / k) @ m_rows
 
 
-def uf_pos_dependent_mean(h: Tensor, m_rows: Tensor, attn_t: Tensor) -> Tensor:
-    """Attention-weighted mean of morpheme rows at the current state."""
-    return ad.matmul(attention_weights(h, m_rows, attn_t), m_rows)
+class Emission(NamedTuple):
+    """Output of ``emit`` and what the backward pass needs of it."""
+    logdist: np.ndarray           # log p(next symbol), one row per decoder state
+    hu: np.ndarray                # readout inputs [h; u] (joint: [h; m_j] per j)
+    a: np.ndarray                 # hidden readout layer, per row of hu
+    logp: np.ndarray              # readout log-distribution, per row of hu
+    log_alpha: np.ndarray | None  # attention log-weights (not pos-indep)
 
 
-def joint_emission(h: Tensor, m_rows: Tensor, params: ModelParams) -> Tensor:
-    """Mixture over morphemes of per-morpheme readouts, mixed in
-    probability space: log sum_j alpha_j softmax(V tanh(W [h; m_j]))."""
-    log_alpha = attention_log_weights(h, m_rows, params.attn_t)
-    k = m_rows.data.shape[0]
-    comps = []
-    for j in range(k):
-        comp = emission(h, ad.lookup(m_rows, j), params)
-        comps.append(comp + ad.pick(log_alpha, j))
-    if k == 1:
-        out = comps[0]
+def emit(params: ModelParams, variant: Variant, h: np.ndarray, m_rows: np.ndarray,
+         noise: np.ndarray | None = None) -> Emission:
+    """Per-step output distributions for decoder states ``h`` (one row,
+    or T rows) given the word's morpheme rows. ``noise`` is added to the
+    underlying form: one vector for pos-indep, one row per state for
+    pos-dep; the joint variant has no underlying form."""
+    k, d = m_rows.shape
+    if variant is Variant.JOINT:
+        log_alpha = attention_log_weights(h, m_rows, params.attn_t)
+        lead = h.shape[:-1] + (k, d)
+        hu = np.concatenate([np.broadcast_to(h[..., None, :], lead),
+                             np.broadcast_to(m_rows, lead)], axis=-1).reshape(-1, 2 * d)
+        a, logp = readout(params, hu)
+        # mix per-morpheme readouts in probability space
+        mix = logsumexp(logp.reshape(lead[:-1] + (-1,)) + log_alpha[..., None], axis=-2)
+        if not np.all(np.isfinite(mix)):
+            raise NumericError("non-finite mixture in joint emission")
+        return Emission(mix, hu, a, logp, log_alpha)
+    if variant is Variant.POS_INDEPENDENT:
+        log_alpha = None
+        u = uf_pos_independent_mean(m_rows)
     else:
-        out = ad.logsumexp_rows(ad.stack_rows(comps))
-    if not np.all(np.isfinite(out.data)):
-        raise NumericError("non-finite mixture in joint emission")
-    return out
+        log_alpha = attention_log_weights(h, m_rows, params.attn_t)
+        u = np.exp(log_alpha) @ m_rows
+    if noise is not None:
+        u = u + noise
+    hu = np.concatenate([h, np.broadcast_to(u, h.shape)], axis=-1)
+    a, logp = readout(params, hu)
+    return Emission(logp, hu, a, logp, log_alpha)
 
 
 # ---------------------------------------------------------------------------
-# word-level decoding machinery
+# scoring a known form, forward and backward
 
-class IncrementalDecoder:
-    """One word's spell-out process, advanced one symbol at a time.
+class WordPass:
+    """Teacher-forced log p(surface | morphemes) of one word, summed over
+    every character position plus the final EOS emission, with what the
+    backward pass needs.
 
-    Everything fixed for the word is set up once: the morpheme embedding
-    rows (with dropout in training mode), the variant, and the noise
-    source. ``eps`` is a callable returning the next Gaussian noise
-    vector; None means noise pinned to zero (the distribution mean),
-    which is the evaluation-time convention. The position-independent
-    variant consumes one noise draw for the whole word, the
-    position-dependent variant one draw per step, and the joint variant
-    none.
-
-    ``step`` consumes the previous symbol's embedding-table id (BOS
-    first) and returns the log-distribution over the next symbol.
+    ``eps`` is a callable returning the next Gaussian noise vector; None
+    means noise pinned to zero (the distribution mean), which is the
+    evaluation-time convention. The position-independent variant draws
+    one vector for the word, the position-dependent variant one per step,
+    and the joint variant none. With dropout on, ``drop_rng`` supplies the
+    masks: one row per morpheme, then one per step.
     """
 
-    def __init__(self, params: ModelParams, variant: Variant,
-                 morphemes: Sequence[int], *,
+    def __init__(self, variant: Variant, entry: LexiconEntry, params: ModelParams,
+                 alphabet: Alphabet, *,
+                 eps: Callable[[], np.ndarray] | None = None,
                  training: bool = False, dropout: float = 0.0,
-                 drop_rng: np.random.Generator | None = None,
-                 eps: Callable[[], np.ndarray] | None = None):
-        if len(morphemes) == 0:
+                 drop_rng: np.random.Generator | None = None):
+        if len(entry.morphemes) == 0:
             raise DataError("a word needs at least one morpheme")
-        self.params = params
         self.variant = variant
-        self.training = training
-        self.dropout = dropout
-        self.drop_rng = drop_rng
-        self.eps = eps
+        self.params = params
+        self.morphemes = list(entry.morphemes)
+        self.inputs = [alphabet.bos_id, *entry.form]
+        self.targets = [*entry.form, alphabet.eos_out]
+        k, T, d = len(self.morphemes), len(self.inputs), params.d
 
-        rows = [self._dropped(ad.lookup(params.morph_emb, m)) for m in morphemes]
-        self.m_rows = ad.stack_rows(rows)
+        self.m_rows = params.morph_emb[self.morphemes]
+        self.x = params.char_emb[self.inputs]
+        self.masks = None
+        if training and dropout > 0.0:
+            self.masks = dropout_masks(drop_rng, dropout, (k + T, d))
+            self.m_rows *= self.masks[:k]
+            self.x *= self.masks[k:]
 
-        if variant is Variant.POS_INDEPENDENT:
-            self.u = self._noised(uf_pos_independent_mean(self.m_rows))
+        noise = None
+        if eps is not None and variant is Variant.POS_INDEPENDENT:
+            noise = np.asarray(eps(), dtype=np.float64)
+        elif eps is not None and variant is Variant.POS_DEPENDENT:
+            noise = np.array([eps() for _ in range(T)], dtype=np.float64)
 
-    def _dropped(self, t: Tensor) -> Tensor:
-        if self.training and self.dropout > 0.0:
-            return ad.dropout(t, self.dropout, training=True, rng=self.drop_rng)
-        return t
+        zx = self.x @ params.lstm_wx.T + params.lstm_b
+        self.h = np.empty((T, d))
+        self.c = np.empty((T, d))
+        self.gates = np.empty((T, 4 * d))
+        h = c = np.zeros(d)
+        for t in range(T):
+            h, c, self.gates[t] = lstm_step(params, zx[t], h, c)
+            self.h[t], self.c[t] = h, c
 
-    def _noised(self, mean: Tensor) -> Tensor:
-        """u = mean + eps; the noise is a graph constant, so gradients flow
-        through the mean only (the reparameterization)."""
-        if self.eps is None:
-            return mean
-        return mean + np.asarray(self.eps(), dtype=np.float64)
+        self.out = emit(params, variant, self.h, self.m_rows, noise)
+        self.logprob = self.out.logdist[np.arange(T), self.targets].sum()
+        if not np.isfinite(self.logprob):
+            raise NumericError("non-finite word log-probability")
 
-    def start_state(self):
-        d = self.params.d
-        return Tensor(np.zeros(d)), Tensor(np.zeros(d))
+    def nll_backward(self, grads: ModelParams) -> None:
+        """Add the gradient of -log p(word) with respect to every parameter
+        into ``grads``, which has the parameters' layout. Noise is a
+        constant, so gradients reach the underlying form through its mean
+        only (the reparameterization)."""
+        p, out, variant = self.params, self.out, self.variant
+        T, d = self.h.shape
+        k = len(self.morphemes)
+        dlogdist = np.zeros_like(out.logdist)
+        dlogdist[np.arange(T), self.targets] = -1.0
+        dh = np.zeros((T, d))
+        dm = np.zeros((k, d))
 
-    def step(self, state, prev_char_id: int):
-        """Advance on the previous character; return (log-distribution over
-        surface symbols + EOS, new state)."""
-        h0, c0 = state
-        x = self._dropped(ad.lookup(self.params.char_emb, prev_char_id))
-        h, c = lstm_step(self.params, x, h0, c0)
-
-        if self.variant is Variant.POS_INDEPENDENT:
-            logdist = emission(h, self.u, self.params)
-        elif self.variant is Variant.POS_DEPENDENT:
-            u = self._noised(uf_pos_dependent_mean(h, self.m_rows, self.params.attn_t))
-            logdist = emission(h, u, self.params)
+        if variant is Variant.JOINT:
+            comps = out.logp.reshape(T, k, -1) + out.log_alpha[:, :, None]
+            dcomps = logsumexp_backward(comps, out.logdist, dlogdist, axis=1)
+            dlog_alpha = dcomps.sum(axis=2)
+            dlogp = dcomps.reshape(T * k, -1)
         else:
-            logdist = joint_emission(h, self.m_rows, self.params)
-        return logdist, (h, c)
+            dlogp = dlogdist
+        dlogits = log_softmax_backward(out.logp, dlogp)
+        grads.readout_v += dlogits.T @ out.a
+        dpre = (dlogits @ p.readout_v) * (1.0 - out.a * out.a)
+        grads.readout_w += dpre.T @ out.hu
+        dhu = dpre @ p.readout_w
+
+        if variant is Variant.JOINT:
+            dhu = dhu.reshape(T, k, 2 * d)
+            dh += dhu[:, :, :d].sum(axis=1)
+            dm += dhu[:, :, d:].sum(axis=0)
+        else:
+            dh += dhu[:, :d]
+            du = dhu[:, d:]
+            if variant is Variant.POS_INDEPENDENT:
+                dm += du.sum(axis=0) / k
+            else:
+                alpha = np.exp(out.log_alpha)
+                dm += alpha.T @ du
+                dlog_alpha = (du @ self.m_rows.T) * alpha
+        if variant is not Variant.POS_INDEPENDENT:
+            ds = log_softmax_backward(out.log_alpha, dlog_alpha)
+            dm += ds.T @ (self.h @ p.attn_t)
+            dq = ds @ self.m_rows
+            grads.attn_t += self.h.T @ dq
+            dh += dq @ p.attn_t.T
+
+        dz = self._lstm_backward(dh)
+        grads.lstm_wx += dz.T @ self.x
+        grads.lstm_wh += dz[1:].T @ self.h[:-1]
+        grads.lstm_b += dz.sum(axis=0)
+        dx = dz @ p.lstm_wx
+        if self.masks is not None:
+            dm *= self.masks[:k]
+            dx *= self.masks[k:]
+        np.add.at(grads.morph_emb, self.morphemes, dm)
+        np.add.at(grads.char_emb, self.inputs, dx)
+
+    def _lstm_backward(self, dh_out: np.ndarray) -> np.ndarray:
+        """Backpropagation through time: gradients of the gate
+        pre-activations, one row per step, given each step's gradient
+        with respect to its hidden state from the emissions."""
+        T, d = dh_out.shape
+        wh = self.params.lstm_wh
+        i, f, o, g = (self.gates[:, j * d:(j + 1) * d] for j in range(4))
+        tc = np.tanh(self.c)
+        c_prev = np.vstack([np.zeros((1, d)), self.c[:-1]])
+        # what multiplies the step's cell (or, for o, hidden) gradient
+        # in each block of dz: the gate's local derivative and partner
+        local = np.concatenate([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                                tc * o * (1.0 - o), i * (1.0 - g * g)], axis=1)
+        dc_dh = o * (1.0 - tc * tc)
+        dz = np.empty((T, 4 * d))
+        dh = np.zeros(d)
+        dc = np.zeros(d)
+        for t in range(T - 1, -1, -1):
+            dh = dh_out[t] + dh
+            dc = dc + dh * dc_dh[t]
+            np.multiply(np.concatenate((dc, dc, dh, dc)), local[t], out=dz[t])
+            dc = dc * f[t]
+            dh = dz[t] @ wh
+        return dz
 
 
 def word_logprob(variant: Variant, entry: LexiconEntry, params: ModelParams,
                  alphabet: Alphabet, *,
-                 eps: Callable[[], np.ndarray] | None = None,
-                 training: bool = False, dropout: float = 0.0,
-                 drop_rng: np.random.Generator | None = None) -> Tensor:
-    """Teacher-forced log p(surface | morphemes), summed over every
-    character position plus the final EOS emission. ``eps`` supplies the
-    underlying-form noise as in ``IncrementalDecoder``; None scores at the
-    noise-free mean."""
-    dec = IncrementalDecoder(params, variant, entry.morphemes,
-                             training=training, dropout=dropout,
-                             drop_rng=drop_rng, eps=eps)
-    state = dec.start_state()
-    prev = alphabet.bos_id
-    total = None
-    for sym in entry.form:
-        logdist, state = dec.step(state, prev)
-        term = ad.pick(logdist, sym)
-        total = term if total is None else total + term
-        prev = sym
-    logdist, state = dec.step(state, prev)
-    total_with_eos = ad.pick(logdist, alphabet.eos_out)
-    total = total_with_eos if total is None else total + total_with_eos
-    if not np.isfinite(total.data):
-        raise NumericError("non-finite word log-probability")
-    return total
+                 eps: Callable[[], np.ndarray] | None = None) -> np.float64:
+    """Teacher-forced log p(surface | morphemes), dropout off; ``eps`` as
+    in ``WordPass``."""
+    return WordPass(variant, entry, params, alphabet, eps=eps).logprob
+
+
+# ---------------------------------------------------------------------------
+# decoding
+
+class IncrementalDecoder:
+    """One word's noise-free spell-out process, advanced one symbol at a
+    time. ``step`` consumes the previous symbol's embedding-table id (BOS
+    first) and returns the log-distribution over the next symbol."""
+
+    def __init__(self, params: ModelParams, variant: Variant, morphemes: Sequence[int]):
+        if len(morphemes) == 0:
+            raise DataError("a word needs at least one morpheme")
+        self.params = params
+        self.variant = variant
+        self.m_rows = params.morph_emb[list(morphemes)]
+
+    def start_state(self):
+        d = self.params.d
+        return np.zeros(d), np.zeros(d)
+
+    def step(self, state, prev_char_id: int):
+        """Advance on the previous character; return (log-distribution over
+        surface symbols + EOS, new state)."""
+        p = self.params
+        h, c, _ = lstm_step(p, p.lstm_wx @ p.char_emb[prev_char_id] + p.lstm_b, *state)
+        return emit(p, self.variant, h, self.m_rows).logdist, (h, c)
 
 
 def greedy_decode(variant: Variant, morphemes: Sequence[int], params: ModelParams,
@@ -286,7 +442,7 @@ def greedy_decode(variant: Variant, morphemes: Sequence[int], params: ModelParam
     out: list[int] = []
     for _ in range(max_len):
         logdist, state = dec.step(state, prev)
-        sym = int(np.argmax(logdist.data))
+        sym = int(np.argmax(logdist))
         if sym == alphabet.eos_out:
             break
         out.append(sym)

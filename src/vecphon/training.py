@@ -11,6 +11,11 @@ trains on the plain likelihood.
 Scheduling is driven by the dev loss computed deterministically (dropout
 off, eps = 0): halve the learning rate after `patience` consecutive
 epochs without improvement, stop once it falls below the floor.
+
+Each word's gradient comes from the model's hand-derived backward pass
+and is added into one flat gradient buffer laid out like the parameters;
+a batch is the mean of its words' gradients, clipped and applied by Adam
+as whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -20,10 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Adam, Tape, Tensor, clip_global_norm
+from .autodiff import Adam, clip_global_norm
 from .errors import ConfigError, NumericError, TrainingError
-from .model import ModelParams, Variant, init_params, word_logprob
+from .model import ModelParams, Variant, WordPass, init_params
 from .seeds import derive_rng
 from .vocab import Alphabet, LexiconEntry, MorphemeVocab
 
@@ -119,20 +123,24 @@ class PlateauSchedule:
 def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
                    alphabet: Alphabet, rng: np.random.Generator | None, *,
                    training: bool = False, dropout: float = 0.0,
-                   drop_rng: np.random.Generator | None = None) -> Tensor:
+                   drop_rng: np.random.Generator | None = None,
+                   grads: ModelParams | None = None) -> np.float64:
     """Negative log-likelihood at one underlying-form sample.
 
     With rng None (or for the joint variant, always) the noise is pinned
-    to zero, which is the deterministic dev/eval objective.
+    to zero, which is the deterministic dev/eval objective. With
+    ``grads`` given, the loss's gradient is added into it.
     """
     if variant is Variant.JOINT or rng is None:
         eps = None
     else:
         d = params.d
         eps = lambda: rng.standard_normal(d)
-    lp = word_logprob(variant, entry, params, alphabet, eps=eps,
-                      training=training, dropout=dropout, drop_rng=drop_rng)
-    return ad.mul(lp, -1.0)
+    word = WordPass(variant, entry, params, alphabet, eps=eps,
+                    training=training, dropout=dropout, drop_rng=drop_rng)
+    if grads is not None:
+        word.nll_backward(grads)
+    return -word.logprob
 
 
 def mean_dev_loss(variant: Variant, entries, params: ModelParams,
@@ -140,20 +148,8 @@ def mean_dev_loss(variant: Variant, entries, params: ModelParams,
     """Deterministic mean per-word loss: dropout off, noise pinned to 0."""
     total = 0.0
     for e in entries:
-        total += elbo_word_loss(variant, e, params, alphabet, None).item()
+        total += float(elbo_word_loss(variant, e, params, alphabet, None))
     return total / len(entries)
-
-
-def _quantized(params: ModelParams) -> list[np.ndarray]:
-    # round-trip through f32, the checkpoint payload precision
-    return [t.data.astype(np.float32).astype(np.float64) for t in params.tensors()]
-
-
-def _install(params: ModelParams, values: list[np.ndarray]) -> list[np.ndarray]:
-    old = [t.data for t in params.tensors()]
-    for t, v in zip(params.tensors(), values):
-        t.data = v
-    return old
 
 
 def train(config: TrainConfig, train_entries: list[LexiconEntry],
@@ -175,10 +171,11 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
     noise_rng = derive_rng(config.seed, "noise")
 
     params = init_params(init_rng, len(vocab), alphabet, config.d)
-    opt = Adam(params.tensors(), lr=config.lr)
+    grads = params.like()
+    opt = Adam(params.flat, grads.flat, lr=config.lr)
     schedule = PlateauSchedule(config.lr, config.min_lr, config.patience)
     log = TrainLog()
-    best_values: list[np.ndarray] | None = None
+    best = params.like()
     n = len(train_entries)
 
     for epoch in range(1, config.max_epochs + 1):
@@ -189,22 +186,17 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
         try:
             for start in range(0, n, config.batch_size):
                 batch = [train_entries[i] for i in order[start:start + config.batch_size]]
-                with Tape() as tape:
-                    for entry in batch:
-                        loss = elbo_word_loss(
-                            config.variant, entry, params, alphabet, noise_rng,
-                            training=True, dropout=config.dropout,
-                            drop_rng=drop_rng)
-                        loss_sum += loss.item()
-                        tape.backward(loss)
-                    for p in params.tensors():
-                        if p.grad is not None and len(batch) > 1:
-                            p.grad /= len(batch)
-                    clip_global_norm(params.tensors(), GRAD_NORM_CAP)
-                    opt.lr = schedule.lr
-                    opt.step()
-                    opt.zero_grads()
-                    tape.clear()
+                for entry in batch:
+                    loss_sum += float(elbo_word_loss(
+                        config.variant, entry, params, alphabet, noise_rng,
+                        training=True, dropout=config.dropout,
+                        drop_rng=drop_rng, grads=grads))
+                if len(batch) > 1:
+                    grads.flat /= len(batch)
+                clip_global_norm(grads.flat, GRAD_NORM_CAP)
+                opt.lr = schedule.lr
+                opt.step()
+                opt.zero_grads()
             train_loss = loss_sum / n
             dev_loss = mean_dev_loss(config.variant, dev_entries, params, alphabet)
         except NumericError as e:
@@ -216,10 +208,9 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
                                        lr_in_effect, time.perf_counter() - t0))
         verdict = schedule.update(dev_loss)
         if verdict == "improved":
-            best_values = _quantized(params)
-            old = _install(params, best_values)
-            log.best_dev_loss = mean_dev_loss(config.variant, dev_entries, params, alphabet)
-            _install(params, old)
+            # the snapshot at checkpoint (f32) precision, scored where it lies
+            np.copyto(best.flat, params.flat.astype(np.float32))
+            log.best_dev_loss = mean_dev_loss(config.variant, dev_entries, best, alphabet)
             log.best_epoch = epoch
         if verdict == "stop":
             log.stop_reason = "lr-floor"
@@ -227,5 +218,5 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
     else:
         log.stop_reason = "max-epochs"
 
-    _install(params, best_values)
+    np.copyto(params.flat, best.flat)
     return params, log

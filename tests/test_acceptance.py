@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import synthlang
-from vecphon.autodiff import Tape
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon.data import (SplitSpec, WeightedForm, build_vocab,
                           sample_training_set, split_paradigms)
@@ -24,7 +23,7 @@ from vecphon.embeddings import cosine
 from vecphon.evaluation import (evaluate, levenshtein,
                                 paired_permutation_test, resample_eval,
                                 surprisal)
-from vecphon.model import (IncrementalDecoder, Variant, default_max_len,
+from vecphon.model import (IncrementalDecoder, Variant, WordPass, default_max_len,
                            init_params, word_logprob)
 from vecphon.seeds import derive_rng, derive_seed
 from vecphon.training import TrainConfig, mean_dev_loss, train
@@ -64,25 +63,21 @@ def test_criterion_1_end_to_end_gradients():
             return -word_logprob(variant, entry, params, alphabet,
                                  eps=pinned_eps()).item()
 
-        with Tape() as tape:
-            loss = word_logprob(variant, entry, params, alphabet,
-                                eps=pinned_eps()) * -1.0
-            tape.backward(loss)
-            analytic = {name: t.grad_or_zero().copy()
-                        for name, t in params.named_tensors().items()}
-        tape.clear()
+        grads = params.like()
+        WordPass(variant, entry, params, alphabet, eps=pinned_eps()).nll_backward(grads)
+        analytic = grads.named_arrays()
 
-        for name, tensor in params.named_tensors().items():
-            fd = np.zeros_like(tensor.data)
-            it = np.nditer(tensor.data, flags=["multi_index"])
+        for name, tensor in params.named_arrays().items():
+            fd = np.zeros_like(tensor)
+            it = np.nditer(tensor, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
-                keep = tensor.data[idx]
-                tensor.data[idx] = keep + step
+                keep = tensor[idx]
+                tensor[idx] = keep + step
                 hi = loss_value()
-                tensor.data[idx] = keep - step
+                tensor[idx] = keep - step
                 lo = loss_value()
-                tensor.data[idx] = keep
+                tensor[idx] = keep
                 fd[idx] = (hi - lo) / (2.0 * step)
             denom = max(np.linalg.norm(fd) + np.linalg.norm(analytic[name]), 1e-12)
             rel = np.linalg.norm(fd - analytic[name]) / denom
@@ -120,7 +115,7 @@ def test_criterion_2_probability_mass_accounting():
             if depth == cap + 1:
                 return math.exp(logp)
             logdist, new_state = dec.step(state, prev)
-            return sum(descend(new_state, sym, depth + 1, logp + float(logdist.data[sym]))
+            return sum(descend(new_state, sym, depth + 1, logp + float(logdist[sym]))
                        for sym in range(alphabet.size))
 
         total += descend(dec.start_state(), alphabet.bos_id, 0, 0.0)
@@ -201,7 +196,7 @@ def test_criterion_7_harmony_embedding_geometry(harmony_runs):
     back = [f"suf{j}" for j in range(5, 10)]
     margins = []
     for seed in HARMONY_SEEDS:
-        emb = runs[(Variant.POS_INDEPENDENT, seed)]["params"].morph_emb.data
+        emb = runs[(Variant.POS_INDEPENDENT, seed)]["params"].morph_emb
         vec = {m: emb[vocab.index(m)] for m in front + back}
         within = np.mean([cosine(vec[a], vec[b]) for cls in (front, back)
                           for a, b in combinations(cls, 2)])
@@ -296,7 +291,7 @@ def test_criterion_6_metric_oracles():
     alphabet = Alphabet("abcd")
     entry = LexiconEntry(morphemes=(0, 1), form=alphabet.encode("cab"))
     params = init_params(np.random.default_rng(3), 2, alphabet, d=4)
-    params.readout_v.data[:] = 0.0  # uniform over the 5-way output space
+    params.readout_v[:] = 0.0  # uniform over the 5-way output space
     surp_gaps = [abs(surprisal(v, entry, params, alphabet) - math.log(alphabet.out_size))
                  for v in ALL_VARIANTS]
 

@@ -26,11 +26,11 @@ def test_round_trip_preserves_everything(tmp_path):
     assert variant is Variant.POS_DEPENDENT
     assert a2 == alphabet and v2 == vocab
     assert p2.d == params.d
-    for name, t in params.named_tensors().items():
-        loaded = p2.named_tensors()[name].data
-        assert loaded.shape == t.data.shape
+    for name, t in params.named_arrays().items():
+        loaded = p2.named_arrays()[name]
+        assert loaded.shape == t.shape
         # payload precision is f32
-        assert np.array_equal(loaded, t.data.astype(np.float32).astype(np.float64))
+        assert np.array_equal(loaded, t.astype(np.float32).astype(np.float64))
 
 
 def test_write_read_write_bitwise_stable(tmp_path):
@@ -72,7 +72,7 @@ def test_corruption_detected(tmp_path):
 
 def test_non_finite_rejected(tmp_path):
     params, alphabet, vocab = setup(seed=3)
-    params.lstm_wx.data[0, 0] = np.inf
+    params.lstm_wx[0, 0] = np.inf
     path = tmp_path / "m.vpck"
     save_checkpoint(path, params, Variant.JOINT, alphabet, vocab)
     with pytest.raises(Exception, match="non-finite"):

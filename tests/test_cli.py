@@ -230,6 +230,10 @@ def test_exit_codes(tmp_path, capsys):
                                  np.random.default_rng(0))
     bad_variant = tmp_path / "bad-variant.cfg"
     bad_variant.write_text("variant=bogus\n")
+    bad_coverage = tmp_path / "bad-coverage.cfg"
+    bad_coverage.write_text("coverage=yes\n")
+    bad_gold = tmp_path / "bad-gold.cfg"
+    bad_gold.write_text("gold=1\n")
     manifests = {
         "non-integer": write_manifest(tmp_path / "m1", **{"dev.idx": "6\nsix\n"}),
         "no-seed": write_manifest(tmp_path / "m2", **{"seed.txt": None}),
@@ -249,6 +253,14 @@ def test_exit_codes(tmp_path, capsys):
         (["resample", "--weighted-data", str(wdata), "--variants", "bogus",
           "--sizes", "4", "--out-dir", x], 2),
         (["train", "--data", data, "--out-dir", x, "--dim", "0"], 2),
+        (["train", "--config", str(bad_coverage), "--data", data, "--out-dir", x], 2),
+        (["predict", "--config", str(bad_gold), "--checkpoint", ckpt,
+          "--morphemes", "a+b", "--out-dir", x], 2),
+        (["predict", "--checkpoint", ckpt, "--morphemes", "a+b", "--max-len", "0",
+          "--out-dir", x], 2),
+        (evaluate + ["--max-len", "0"], 2),
+        (["resample", "--weighted-data", str(wdata), "--sizes", "4",
+          "--max-len", "-1", "--out-dir", x], 2),
         (["predict", "--checkpoint", str(tmp_path / "nope.vpck"),
           "--morphemes", "a+b", "--out-dir", x], 1),
     ]

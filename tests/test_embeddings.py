@@ -18,7 +18,7 @@ def test_export_none_gives_raw_rows(tmp_path):
     rows = export_rows(params, vocab, "none")
     assert [ident for ident, _ in rows] == ["m0", "m1", "m2"]
     for i, (_, vec) in enumerate(rows):
-        assert np.array_equal(vec, params.morph_emb.data[i])
+        assert np.array_equal(vec, params.morph_emb[i])
     path = tmp_path / "emb.tsv"
     write_embeddings(path, rows)
     lines = path.read_text(encoding="utf-8").splitlines()

@@ -57,7 +57,7 @@ def test_levenshtein_is_a_metric():
 def test_surprisal_uniform_closed_form():
     alphabet = Alphabet("ab")
     params = init_params(np.random.default_rng(2), 2, alphabet, 4)
-    params.readout_v.data[:] = 0.0  # uniform over 3 outputs at every step
+    params.readout_v[:] = 0.0  # uniform over 3 outputs at every step
     for form in [(0,), (0, 1), (1, 1, 0, 0)]:
         entry = LexiconEntry(morphemes=(0,), form=form)
         for variant in Variant:

@@ -6,14 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vecphon import autodiff as ad
 from vecphon import model as md
-from vecphon.autodiff import Tape, Tensor
 from vecphon.errors import DataError
-from vecphon.model import (IncrementalDecoder, ModelParams, Variant,
-                           attention_weights, emission,
-                           greedy_decode, init_params, joint_emission,
-                           lstm_step, uf_pos_dependent_mean,
+from vecphon.model import (IncrementalDecoder, Variant, WordPass,
+                           attention_log_weights, emit, greedy_decode,
+                           init_params, lstm_step, readout,
                            uf_pos_independent_mean, word_logprob)
 from vecphon.vocab import Alphabet, LexiconEntry
 
@@ -25,9 +22,21 @@ def tiny_setup(seed=0, d=4, n_chars=3, n_morphs=3, weight_scale=1.0):
     alphabet = Alphabet([chr(ord("a") + i) for i in range(n_chars)])
     params = init_params(rng, n_morphs, alphabet, d)
     if weight_scale != 1.0:
-        for t in params.tensors():
-            t.data *= weight_scale
+        params.flat *= weight_scale
     return alphabet, params, rng
+
+
+def input_share(params, x):
+    """The input's share of the gate pre-activations, W_x x + b."""
+    return params.lstm_wx @ x + params.lstm_b
+
+
+def attention_weights(h, m, attn_t):
+    return np.exp(attention_log_weights(h, m, attn_t))
+
+
+def emission(h, u, params):
+    return readout(params, np.concatenate([h, u]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +45,10 @@ def tiny_setup(seed=0, d=4, n_chars=3, n_morphs=3, weight_scale=1.0):
 def test_lstm_zero_parameters_give_zero_hidden():
     alphabet, params, _ = tiny_setup()
     for t in (params.lstm_wx, params.lstm_wh, params.lstm_b):
-        t.data[:] = 0.0
-    x = Tensor(np.ones(params.d))
-    h, c = lstm_step(params, x, Tensor(np.zeros(params.d)), Tensor(np.zeros(params.d)))
-    assert np.all(h.data == 0.0)  # o=0.5, tanh(c)=tanh(0.5*0)=0
+        t[:] = 0.0
+    x = np.ones(params.d)
+    h, c, _ = lstm_step(params, input_share(params, x), np.zeros(params.d), np.zeros(params.d))
+    assert np.all(h == 0.0)  # o=0.5, tanh(c)=tanh(0.5*0)=0
 
 
 def test_lstm_matches_hand_computed_update():
@@ -51,9 +60,9 @@ def test_lstm_matches_hand_computed_update():
     wx = rng.normal(size=(4 * d, d))
     wh = rng.normal(size=(4 * d, d))
     b = rng.normal(size=4 * d)
-    params.lstm_wx.data[:] = wx
-    params.lstm_wh.data[:] = wh
-    params.lstm_b.data[:] = b
+    params.lstm_wx[:] = wx
+    params.lstm_wh[:] = wh
+    params.lstm_b[:] = b
     x = rng.normal(size=d)
     h0 = rng.normal(size=d)
     c0 = rng.normal(size=d)
@@ -66,21 +75,20 @@ def test_lstm_matches_hand_computed_update():
     c1 = f * c0 + i * g
     h1 = o * np.tanh(c1)
 
-    h, c = lstm_step(params, Tensor(x), Tensor(h0), Tensor(c0))
-    assert np.allclose(h.data, h1, atol=1e-12)
-    assert np.allclose(c.data, c1, atol=1e-12)
+    h, c, _ = lstm_step(params, input_share(params, x), h0, c0)
+    assert np.allclose(h, h1, atol=1e-12)
+    assert np.allclose(c, c1, atol=1e-12)
 
 
 def test_lstm_state_depends_on_input_order():
     alphabet, params, _ = tiny_setup(seed=7)
 
     def run(seq):
-        h = Tensor(np.zeros(params.d))
-        c = Tensor(np.zeros(params.d))
+        h = np.zeros(params.d)
+        c = np.zeros(params.d)
         for sym in seq:
-            x = ad.lookup(params.char_emb, sym)
-            h, c = lstm_step(params, x, h, c)
-        return h.data
+            h, c, _ = lstm_step(params, input_share(params, params.char_emb[sym]), h, c)
+        return h
 
     assert not np.allclose(run([0, 1]), run([1, 0]))
 
@@ -97,45 +105,45 @@ def test_emission_hand_oracle():
     V = np.array([[0.2, -0.1, 0.05, 0.3],
                   [-0.4, 0.2, 0.1, -0.2],
                   [0.0, 0.5, -0.3, 0.1]])
-    params.readout_w.data[:] = W
-    params.readout_v.data[:] = V
+    params.readout_w[:] = W
+    params.readout_v[:] = V
     h = np.array([0.3, -0.7])
     u = np.array([1.1, 0.4])
     logits = V @ np.tanh(W @ np.concatenate([h, u]))
     expected = logits - np.log(np.exp(logits).sum())
-    got = emission(Tensor(h), Tensor(u), params).data
+    got = emission(h, u, params)
     assert np.max(np.abs(got - expected)) < 1e-10
 
 
 def test_emission_zero_v_is_uniform():
     alphabet, params, _ = tiny_setup(n_chars=4)
-    params.readout_v.data[:] = 0.0
-    out = emission(Tensor(np.ones(params.d)), Tensor(np.ones(params.d)), params).data
+    params.readout_v[:] = 0.0
+    out = emission(np.ones(params.d), np.ones(params.d), params)
     assert np.allclose(out, -np.log(alphabet.out_size), atol=1e-12)
 
 
 def test_attention_zero_t_uniform_and_single_morpheme():
     alphabet, params, rng = tiny_setup(seed=5)
-    m = Tensor(rng.normal(size=(3, params.d)))
-    h = Tensor(rng.normal(size=params.d))
-    params.attn_t.data[:] = 0.0
-    alpha = attention_weights(h, m, params.attn_t).data
+    m = rng.normal(size=(3, params.d))
+    h = rng.normal(size=params.d)
+    params.attn_t[:] = 0.0
+    alpha = attention_weights(h, m, params.attn_t)
     assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
-    single = attention_weights(h, Tensor(rng.normal(size=(1, params.d))), params.attn_t)
-    assert np.allclose(single.data, [1.0])
+    single = attention_weights(h, rng.normal(size=(1, params.d)), params.attn_t)
+    assert np.allclose(single, [1.0])
 
 
 def test_attention_simplex_and_temperature_sharpening():
     alphabet, params, rng = tiny_setup(seed=6)
     for _ in range(20):
-        m = Tensor(rng.normal(size=(4, params.d)))
-        h = Tensor(rng.normal(size=params.d))
-        t = Tensor(rng.normal(size=(params.d, params.d)))
-        alpha = attention_weights(h, m, t).data
+        m = rng.normal(size=(4, params.d))
+        h = rng.normal(size=params.d)
+        t = rng.normal(size=(params.d, params.d))
+        alpha = attention_weights(h, m, t)
         assert abs(alpha.sum() - 1.0) < 1e-10 and np.all(alpha >= 0)
         top = int(np.argmax(alpha))
         for scale in (2.0, 5.0):
-            sharper = attention_weights(h, m, Tensor(t.data * scale)).data
+            sharper = attention_weights(h, m, t * scale)
             assert int(np.argmax(sharper)) == top
             assert sharper[top] >= alpha[top] - 1e-12
 
@@ -144,46 +152,47 @@ def test_uf_means():
     rng = np.random.default_rng(8)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    mean = uf_pos_independent_mean(Tensor(np.stack([e1, e2]))).data
+    mean = uf_pos_independent_mean(np.stack([e1, e2]))
     assert np.allclose(mean, [0.5, 0.5])
     row = rng.normal(size=4)
-    assert np.allclose(uf_pos_independent_mean(Tensor(row[None, :])).data, row)
+    assert np.allclose(uf_pos_independent_mean(row[None, :]), row)
     same = np.stack([row, row])
-    assert np.allclose(uf_pos_independent_mean(Tensor(same)).data, row)
+    assert np.allclose(uf_pos_independent_mean(same), row)
 
 
 def test_uf_pos_dependent_in_convex_hull():
     alphabet, params, rng = tiny_setup(seed=9)
     for _ in range(25):
         k = int(rng.integers(1, 5))
-        m = Tensor(rng.normal(size=(k, params.d)))
-        h = Tensor(rng.normal(size=params.d))
-        t = Tensor(rng.normal(size=(params.d, params.d)))
-        mean = uf_pos_dependent_mean(h, m, t).data
-        alpha = attention_weights(h, m, t).data
-        assert np.allclose(mean, alpha @ m.data, atol=1e-12)
+        m = rng.normal(size=(k, params.d))
+        h = rng.normal(size=params.d)
+        params.attn_t[:] = rng.normal(size=(params.d, params.d))
+        # the pos-dep readout input is [h; alpha @ m]
+        mean = emit(params, Variant.POS_DEPENDENT, h, m).hu[params.d:]
+        alpha = attention_weights(h, m, params.attn_t)
+        assert np.allclose(mean, alpha @ m, atol=1e-12)
         # convex combination: inside the coordinate-wise envelope
-        assert np.all(mean <= m.data.max(axis=0) + 1e-12)
-        assert np.all(mean >= m.data.min(axis=0) - 1e-12)
+        assert np.all(mean <= m.max(axis=0) + 1e-12)
+        assert np.all(mean >= m.min(axis=0) - 1e-12)
 
 
 def test_joint_single_morpheme_equals_plain_emission():
     alphabet, params, rng = tiny_setup(seed=10)
-    m = Tensor(rng.normal(size=(1, params.d)))
-    h = Tensor(rng.normal(size=params.d))
-    joint = joint_emission(h, m, params).data
-    plain = emission(h, ad.lookup(m, 0), params).data
+    m = rng.normal(size=(1, params.d))
+    h = rng.normal(size=params.d)
+    joint = emit(params, Variant.JOINT, h, m).logdist
+    plain = emission(h, m[0], params)
     assert np.allclose(joint, plain, atol=1e-12)
 
 
 def test_joint_zero_t_two_morphemes_averages_components():
     alphabet, params, rng = tiny_setup(seed=11)
-    params.attn_t.data[:] = 0.0
-    m = Tensor(rng.normal(size=(2, params.d)))
-    h = Tensor(rng.normal(size=params.d))
-    mix = np.exp(joint_emission(h, m, params).data)
-    p0 = np.exp(emission(h, ad.lookup(m, 0), params).data)
-    p1 = np.exp(emission(h, ad.lookup(m, 1), params).data)
+    params.attn_t[:] = 0.0
+    m = rng.normal(size=(2, params.d))
+    h = rng.normal(size=params.d)
+    mix = np.exp(emit(params, Variant.JOINT, h, m).logdist)
+    p0 = np.exp(emission(h, m[0], params))
+    p1 = np.exp(emission(h, m[1], params))
     assert np.allclose(mix, 0.5 * p0 + 0.5 * p1, atol=1e-12)
 
 
@@ -197,7 +206,7 @@ def test_per_step_distributions_normalize_all_variants():
             prev = alphabet.bos_id
             for sym in [0, 1, 2]:
                 logdist, state = dec.step(state, prev)
-                assert abs(np.exp(logdist.data).sum() - 1.0) < 1e-10
+                assert abs(np.exp(logdist).sum() - 1.0) < 1e-10
                 prev = sym
 
 
@@ -215,7 +224,7 @@ def test_morpheme_order_invariance():
 
 def test_word_logprob_uniform_emission_closed_form():
     alphabet, params, _ = tiny_setup(n_chars=3)
-    params.readout_v.data[:] = 0.0
+    params.readout_v[:] = 0.0
     entry = LexiconEntry(morphemes=(0,), form=(0, 2, 1, 1))
     for variant in ALL_VARIANTS:
         lp = word_logprob(variant, entry, params, alphabet).item()
@@ -237,14 +246,14 @@ def test_word_logprob_sampling_changes_score_but_mean_pinned():
 def test_greedy_decode_eos_rigged_gives_empty():
     alphabet, params, _ = tiny_setup()
     # first decoder state and UF for the single-morpheme word
-    x = ad.lookup(params.char_emb, alphabet.bos_id)
-    h1, _ = lstm_step(params, x, Tensor(np.zeros(params.d)), Tensor(np.zeros(params.d)))
-    u = params.morph_emb.data[0]
-    feat = np.tanh(params.readout_w.data @ np.concatenate([h1.data, u]))
+    x = params.char_emb[alphabet.bos_id]
+    h1, _, _ = lstm_step(params, input_share(params, x), np.zeros(params.d), np.zeros(params.d))
+    u = params.morph_emb[0]
+    feat = np.tanh(params.readout_w @ np.concatenate([h1, u]))
     # point the EOS readout row along the feature vector: its logit is
     # |feat|^2 > 0 while every other logit is 0, so EOS wins at step one
-    params.readout_v.data[:] = 0.0
-    params.readout_v.data[alphabet.eos_out, :] = feat
+    params.readout_v[:] = 0.0
+    params.readout_v[alphabet.eos_out, :] = feat
     for variant in ALL_VARIANTS:
         assert greedy_decode(variant, [0], params, alphabet, max_len=10) == ()
 
@@ -264,10 +273,9 @@ def test_morpheme_gradient_sparsity():
     # only embeddings of morphemes present in the word get gradient
     alphabet, params, _ = tiny_setup(seed=16, n_morphs=5)
     entry = LexiconEntry(morphemes=(1, 3), form=(0, 1))
-    with Tape() as tape:
-        loss = ad.mul(word_logprob(Variant.POS_INDEPENDENT, entry, params, alphabet), -1.0)
-        tape.backward(loss)
-    g = params.morph_emb.grad
+    grads = params.like()
+    WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet).nll_backward(grads)
+    g = grads.morph_emb
     assert np.any(g[1] != 0.0) and np.any(g[3] != 0.0)
     assert np.all(g[[0, 2, 4]] == 0.0)
 
@@ -275,8 +283,8 @@ def test_morpheme_gradient_sparsity():
 def test_embed_rows_stack_in_order():
     alphabet, params, _ = tiny_setup(seed=17, n_morphs=4)
     dec = IncrementalDecoder(params, Variant.JOINT, [2, 0])
-    assert np.allclose(dec.m_rows.data[0], params.morph_emb.data[2])
-    assert np.allclose(dec.m_rows.data[1], params.morph_emb.data[0])
+    assert np.allclose(dec.m_rows[0], params.morph_emb[2])
+    assert np.allclose(dec.m_rows[1], params.morph_emb[0])
 
 
 def test_default_max_len():
@@ -291,3 +299,60 @@ def test_variant_tags():
     assert Variant.from_tag("joint") is Variant.JOINT
     with pytest.raises(ValueError):
         Variant.from_tag("mystery")
+
+
+# ---------------------------------------------------------------------------
+# reference values and the two decoding paths
+
+REF_ALPHABET = Alphabet("abcd")
+REF_WORDS = (LexiconEntry((0, 1), REF_ALPHABET.encode("bca")),
+             LexiconEntry((2,), REF_ALPHABET.encode("dd")),
+             LexiconEntry((3, 0, 1), REF_ALPHABET.encode("abcab")))
+
+# word_logprob of REF_WORDS under init_params(default_rng(1000 + d), 4
+# morphemes, REF_ALPHABET, d), as computed by the per-character
+# tape-based implementation this model replaced: (noise-free, with the
+# eps sequence from default_rng(2000 + d).standard_normal((8, d)))
+REF_LOGPROBS = {
+    (6, "pos-indep"): ((-6.3396372440426365, -4.870454086427662, -9.539329765618303),
+                       (-6.259179063892558, -5.223219548902175, -9.428590952059187)),
+    (6, "pos-dep"): ((-6.339251726425444, -4.870454086427662, -9.539574111127324),
+                     (-6.386108679322153, -4.905545823989801, -9.498402062268879)),
+    (6, "joint"): ((-6.338936195759937, -4.870454086427662, -9.54636754376398),
+                   (-6.338936195759937, -4.870454086427662, -9.54636754376398)),
+    (32, "pos-indep"): ((-6.437563605440692, -4.972244827043788, -9.790924688448122),
+                        (-6.282535105646981, -4.660933053366592, -9.879931472061003)),
+    (32, "pos-dep"): ((-6.4796789697960975, -4.972244827043788, -9.739400394863981),
+                      (-7.532086873016077, -4.579241936326877, -9.330658379974231)),
+    (32, "joint"): ((-6.571598559585892, -4.972244827043788, -9.822764453012589),
+                    (-6.571598559585892, -4.972244827043788, -9.822764453012589)),
+}
+
+
+def test_word_logprob_matches_reference_values():
+    for (d, tag), (mean_ref, noisy_ref) in REF_LOGPROBS.items():
+        params = init_params(np.random.default_rng(1000 + d), 4, REF_ALPHABET, d)
+        variant = Variant.from_tag(tag)
+        for entry, want_mean, want_noisy in zip(REF_WORDS, mean_ref, noisy_ref):
+            draws = iter(np.random.default_rng(2000 + d).standard_normal((8, d)))
+            got_mean = word_logprob(variant, entry, params, REF_ALPHABET)
+            got_noisy = word_logprob(variant, entry, params, REF_ALPHABET,
+                                     eps=lambda: next(draws))
+            assert abs(got_mean - want_mean) <= 1e-10 * abs(want_mean), (d, tag, entry)
+            assert abs(got_noisy - want_noisy) <= 1e-10 * abs(want_noisy), (d, tag, entry)
+
+
+def test_decoder_steps_match_teacher_forced_pass():
+    # greedy decoding steps one row at a time; scoring runs all rows at
+    # once: along a gold form both give the same distributions
+    alphabet, params, _ = tiny_setup(seed=18, d=5, n_chars=4, n_morphs=4)
+    entry = LexiconEntry(morphemes=(3, 0, 1), form=(2, 0, 0, 3, 1))
+    for variant in ALL_VARIANTS:
+        scored = WordPass(variant, entry, params, alphabet).out.logdist
+        dec = IncrementalDecoder(params, variant, entry.morphemes)
+        state = dec.start_state()
+        prev = alphabet.bos_id
+        for t, sym in enumerate(entry.form + (None,)):
+            logdist, state = dec.step(state, prev)
+            assert np.max(np.abs(logdist - scored[t])) < 1e-12, (variant, t)
+            prev = sym

@@ -6,11 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vecphon import autodiff as ad
 from vecphon import training as tr
-from vecphon.autodiff import Adam, Tape, clip_global_norm
+from vecphon.autodiff import Adam, clip_global_norm
+from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon.errors import ConfigError, TrainingError
-from vecphon.model import Variant, init_params, word_logprob
+from vecphon.model import Variant, WordPass, init_params, word_logprob
 from vecphon.seeds import derive_rng
 from vecphon.training import (PlateauSchedule, TrainConfig, elbo_word_loss,
                               mean_dev_loss, train)
@@ -114,20 +114,16 @@ def test_one_step_decreases_loss_with_same_noise():
         variant = ALL_VARIANTS[seed % 3]
         eps_seq = [rng.standard_normal(6) for _ in range(8)]
 
-        def loss_now():
+        def word_now():
             it = iter(eps_seq)
-            lp = word_logprob(variant, entry, params, alphabet,
-                              eps=lambda: next(it))
-            return ad.mul(lp, -1.0)
+            return WordPass(variant, entry, params, alphabet, eps=lambda: next(it))
 
-        before = loss_now().item()
-        opt = Adam(params.tensors(), lr=1e-4)
-        with Tape() as tape:
-            tape.backward(loss_now())
-            opt.step()
-            opt.zero_grads()
-            tape.clear()
-        after = loss_now().item()
+        before = -word_now().logprob
+        grads = params.like()
+        opt = Adam(params.flat, grads.flat, lr=1e-4)
+        word_now().nll_backward(grads)
+        opt.step()
+        after = -word_now().logprob
         assert after < before
 
 
@@ -135,22 +131,21 @@ def test_batch_gradient_sparsity(tiny_harmony):
     slots, alphabet, vocab, entries = tiny_harmony
     params = init_params(np.random.default_rng(4), len(vocab), alphabet, 8)
     entry = entries[0]
-    with Tape() as tape:
-        tape.backward(elbo_word_loss(Variant.POS_INDEPENDENT, entry, params,
-                                     alphabet, None))
+    grads = params.like()
+    elbo_word_loss(Variant.POS_INDEPENDENT, entry, params, alphabet, None, grads=grads)
     used_chars = set(entry.form) | {alphabet.bos_id}
     for row in range(alphabet.table_size):
-        hit = np.any(params.char_emb.grad[row] != 0.0)
+        hit = np.any(grads.char_emb[row] != 0.0)
         assert hit == (row in used_chars)
     used_morphs = set(entry.morphemes)
     for row in range(len(vocab)):
-        hit = np.any(params.morph_emb.grad[row] != 0.0)
+        hit = np.any(grads.morph_emb[row] != 0.0)
         assert hit == (row in used_morphs)
 
 
 def test_batch_step_uses_mean_of_per_word_gradients(tiny_harmony, monkeypatch):
     # two words, one batch, one epoch: train takes exactly one Adam step,
-    # which must match a step on the mean of gradients from separate tapes
+    # which must match a step on the mean of gradients from separate buffers
     slots, alphabet, vocab, entries = tiny_harmony
     words = entries[:2]
     after_step = []
@@ -158,7 +153,7 @@ def test_batch_step_uses_mean_of_per_word_gradients(tiny_harmony, monkeypatch):
     class RecordingAdam(Adam):
         def step(self):
             super().step()
-            after_step.append([p.data.copy() for p in self.params])
+            after_step.append(self.params.copy())
 
     monkeypatch.setattr(tr, "Adam", RecordingAdam)
     for variant in ALL_VARIANTS:
@@ -171,19 +166,14 @@ def test_batch_step_uses_mean_of_per_word_gradients(tiny_harmony, monkeypatch):
         noise_rng = derive_rng(cfg.seed, "noise")
         grads = []
         for i in derive_rng(cfg.seed, "order").permutation(len(words)):
-            with Tape() as tape:
-                tape.backward(elbo_word_loss(variant, words[i], params, alphabet,
-                                             noise_rng, training=True))
-            grads.append([p.grad_or_zero().copy() for p in params.tensors()])
-            for p in params.tensors():
-                p.grad = None
-        for p, g0, g1 in zip(params.tensors(), *grads):
-            p.grad = (g0 + g1) / 2.0
-        clip_global_norm(params.tensors(), tr.GRAD_NORM_CAP)
-        opt = Adam(params.tensors(), lr=cfg.lr)
+            grads.append(params.like())
+            elbo_word_loss(variant, words[i], params, alphabet, noise_rng,
+                           training=True, grads=grads[-1])
+        mean = (grads[0].flat + grads[1].flat) / 2.0
+        clip_global_norm(mean, tr.GRAD_NORM_CAP)
+        opt = Adam(params.flat, mean, lr=cfg.lr)
         opt.step()
-        for got, p in zip(after_step[0], params.tensors()):
-            assert np.allclose(got, p.data, rtol=0, atol=1e-12)
+        assert np.allclose(after_step[0], params.flat, rtol=0, atol=1e-12)
 
 
 def test_train_deterministic_and_loss_decreases(tiny_harmony):
@@ -194,8 +184,7 @@ def test_train_deterministic_and_loss_decreases(tiny_harmony):
     p2, log2 = train(cfg, entries, entries, alphabet, vocab)
     assert log1.format_lines() == log2.format_lines()
     assert [r.dev_loss for r in log1.records] == [r.dev_loss for r in log2.records]
-    for a, b in zip(p1.tensors(), p2.tensors()):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(p1.flat, p2.flat)
     assert log1.records[-1].train_loss < log1.records[0].train_loss
     # learning-rate trace never increases
     lrs = [r.lr for r in log1.records]
@@ -212,8 +201,24 @@ def test_train_restores_best_checkpoint(tiny_harmony):
     assert got == log.best_dev_loss
     assert log.best_epoch >= 1
     # and they are exactly f32-representable
-    for t in params.tensors():
-        assert np.array_equal(t.data, t.data.astype(np.float32).astype(np.float64))
+    assert np.array_equal(params.flat, params.flat.astype(np.float32).astype(np.float64))
+
+
+def test_fields_stay_views_of_the_buffer(tmp_path, tiny_harmony):
+    # the optimizer updates the flat buffer: a field that stopped being a
+    # view of it would silently keep stale values
+    slots, alphabet, vocab, entries = tiny_harmony
+    params, _ = train(make_config(max_epochs=2, seed=12), entries, entries, alphabet, vocab)
+    path = tmp_path / "m.vpck"
+    save_checkpoint(path, params, Variant.POS_INDEPENDENT, alphabet, vocab)
+    loaded, _, _, _ = load_checkpoint(path)
+    for p in (params, loaded):
+        offset = 0
+        for name, arr in p.named_arrays().items():
+            assert np.shares_memory(arr, p.flat), name
+            assert np.array_equal(arr.ravel(), p.flat[offset:offset + arr.size]), name
+            offset += arr.size
+        assert offset == p.flat.size
 
 
 def test_train_rejects_empty_sets(tiny_harmony):
