@@ -345,7 +345,8 @@ def test_word_logprob_matches_reference_values():
 def test_decoder_steps_match_teacher_forced_pass():
     # greedy decoding steps one row at a time; scoring runs all rows at
     # once: along a gold form both give the same distributions
-    alphabet, params, _ = tiny_setup(seed=18, d=5, n_chars=4, n_morphs=4)
+    alphabet, params, rng = tiny_setup(seed=18, d=5, n_chars=4, n_morphs=4)
+    params.lstm_b[:] = rng.normal(size=params.lstm_b.shape)  # init leaves it 0
     entry = LexiconEntry(morphemes=(3, 0, 1), form=(2, 0, 0, 3, 1))
     for variant in ALL_VARIANTS:
         scored = WordPass(variant, entry, params, alphabet).out.logdist
