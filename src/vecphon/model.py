@@ -314,6 +314,8 @@ class WordPass:
         into ``grads``, which has the parameters' layout. Noise is a
         constant, so gradients reach the underlying form through its mean
         only (the reparameterization)."""
+        if grads.shapes != self.params.shapes:
+            raise ShapeError("gradient buffer layout does not match the parameters'")
         p, out, variant = self.params, self.out, self.variant
         T, d = self.h.shape
         k = len(self.morphemes)

@@ -83,6 +83,44 @@ def check_word_grads(variant, entry, params, alphabet, make_kwargs, names=None):
 
 
 # ---------------------------------------------------------------------------
+# building blocks against hand arithmetic
+
+def test_matmul_values_by_hand():
+    # the cell's recurrent product, the readout and the attention scores on
+    # small integer parameters, against products worked out by hand
+    alphabet, params = word_setup(0, d=2, n_chars=2, n_morphs=3)
+    params.flat[:] = 0.0
+
+    params.lstm_wh[:] = np.arange(16.0).reshape(8, 2)  # W_h @ [1, -1] = -1 per row
+    zx = 0.1 * np.arange(8.0)
+    h, c, gates = md.lstm_step(params, zx, np.array([1.0, -1.0]), np.array([1.0, 2.0]))
+    z = zx - 1.0
+    sig = 1.0 / (1.0 + np.exp(-z[:6]))
+    assert np.array_equal(gates, np.concatenate([sig, np.tanh(z[6:])]))
+    i, f, o, g = gates[:2], gates[2:4], gates[4:6], gates[6:]
+    assert np.array_equal(c, f * [1.0, 2.0] + i * g)
+    assert np.array_equal(h, o * np.tanh(c))
+
+    params.readout_w[:] = [[1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, -1]]
+    params.readout_v[:] = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+    hu = np.array([[1.0, 1.0, 2.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
+    a, logp = md.readout(params, hu)
+    assert np.array_equal(a[0], np.tanh([3.0, 1.0, 0.0, 2.0]))
+    assert np.array_equal(a[1], np.zeros(4))
+    assert np.allclose(logp[0], md.log_softmax(np.tanh([3.0, 1.0, 0.0])), rtol=0, atol=1e-15)
+    assert np.allclose(logp[1], np.log(1.0 / 3.0), rtol=0, atol=1e-15)
+
+    params.attn_t[:] = [[1, 0], [0, 2]]
+    m_rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    rows = md.attention_log_weights(np.array([[1.0, 2.0], [1.0, 0.0]]), m_rows, params.attn_t)
+    # h T = [1, 4] and [1, 0]; scores against the rows are [1, 4, 5] and [1, 0, 1]
+    assert np.array_equal(rows[0], md.log_softmax(np.array([1.0, 4.0, 5.0])))
+    assert np.array_equal(rows[1], md.log_softmax(np.array([1.0, 0.0, 1.0])))
+    assert np.array_equal(md.uf_pos_independent_mean(np.array([[1.0, 2.0], [3.0, 4.0]])),
+                          [2.0, 3.0])
+
+
+# ---------------------------------------------------------------------------
 # normalizers
 
 def test_log_softmax_normalizes_and_is_shift_invariant():
@@ -192,6 +230,89 @@ def test_randomized_composite_expressions():
                          lambda: pass_kwargs(params, 200 + trial, dropout))
 
 
+def test_matmul_grads_all_rank_combinations():
+    # each weight gradient is one matrix product over the word's rows;
+    # check it where those products degenerate (one step, one morpheme)
+    # as well as over several of each
+    alphabet, params = word_setup(6)
+    for morphs, form in (((1,), ()), ((0, 2), ()), ((3,), (1, 2, 0)), ((0, 1, 2), (2, 2, 1))):
+        entry = LexiconEntry(morphs, form)
+        for variant in ALL_VARIANTS:
+            grads = check_word_grads(variant, entry, params, alphabet,
+                                     lambda: pass_kwargs(params, 6))
+            if not form:  # one step from the zero state: W_h multiplies only zeros
+                assert np.all(grads.lstm_wh == 0.0)
+            else:
+                assert np.any(grads.lstm_wh != 0.0)
+
+
+def test_add_row_broadcast_grads():
+    # the LSTM bias is added to every step's input projection, and the
+    # pos-indep underlying form to every step's readout input: their
+    # gradients sum over the steps
+    alphabet, params = word_setup(3)
+    entry = LexiconEntry((0, 1), (2, 0, 3, 1))
+    for variant in ALL_VARIANTS:
+        check_word_grads(variant, entry, params, alphabet,
+                         lambda: pass_kwargs(params, 3), names=("lstm_b", "morph_emb"))
+
+
+def test_unary_grads():
+    # gate sigmoids, the tanh of the cell and of the readout layer, and the
+    # exp inside the softmaxes, driven well away from their linear range
+    alphabet, params = word_setup(12)
+    rng = np.random.default_rng(12)
+    for name in ("lstm_wx", "lstm_wh", "readout_w", "readout_v", "attn_t"):
+        getattr(params, name)[...] *= 10.0
+    params.lstm_b[:] = rng.normal(0.0, 1.0, size=params.lstm_b.shape)
+    entry = LexiconEntry((0, 3), (1, 2, 3))
+    for variant in ALL_VARIANTS:
+        word = WordPass(variant, entry, params, alphabet)
+        d = params.d
+        assert np.any(np.abs(word.gates[:, :3 * d] - 0.5) > 0.4)  # sigmoid' < 0.1
+        assert np.any(np.abs(word.out.a) > 0.7)                    # tanh' < 0.51
+        check_word_grads(variant, entry, params, alphabet, lambda: pass_kwargs(params, 12))
+
+
+def test_concat_grads():
+    # the readout reads [h; u] (joint: [h; m_j]), and its input gradient
+    # splits at column d. In pos-indep, morphemes reach the output only
+    # through u and the LSTM only through h, so silencing either half of
+    # the readout weights zeroes exactly that side's gradients
+    alphabet, params = word_setup(7, d=4)
+    entry = LexiconEntry((0, 2), (1, 3, 0))
+    d = params.d
+    for variant in ALL_VARIANTS:
+        check_word_grads(variant, entry, params, alphabet, lambda: pass_kwargs(params, 7),
+                         names=("readout_w", "morph_emb", "lstm_wx"))
+
+    u_off = init_params(np.random.default_rng(7), 4, alphabet, d)
+    u_off.readout_w[:, d:] = 0.0
+    grads = analytic_grads(Variant.POS_INDEPENDENT, entry, u_off, alphabet, {})
+    assert np.all(grads.morph_emb == 0.0)
+    assert np.all(grads.readout_w[:, d:] != 0.0) and np.any(grads.lstm_wx != 0.0)
+
+    h_off = init_params(np.random.default_rng(7), 4, alphabet, d)
+    h_off.readout_w[:, :d] = 0.0
+    grads = analytic_grads(Variant.POS_INDEPENDENT, entry, h_off, alphabet, {})
+    for name in ("lstm_wx", "lstm_wh", "lstm_b", "char_emb"):
+        assert np.all(getattr(grads, name) == 0.0), name
+    assert np.any(grads.morph_emb != 0.0)
+
+
+def test_stack_rows_grads():
+    # the step loop's states are stacked into one (T, d) block (T*k rows
+    # for the joint variant) for the emissions; every row's gradient must
+    # flow back to its own step. Each step reads a different symbol, so
+    # each char_emb row's gradient is one step's
+    alphabet, params = word_setup(8, d=2, n_chars=6, n_morphs=3)
+    entry = LexiconEntry((0, 1, 2), (5, 4, 3, 2, 1, 0))
+    for variant in ALL_VARIANTS:
+        grads = check_word_grads(variant, entry, params, alphabet,
+                                 lambda: pass_kwargs(params, 8), names=("char_emb", "lstm_wh"))
+        assert np.all(grads.char_emb[[alphabet.bos_id, 0, 1, 2, 3, 4, 5]] != 0.0)
+
+
 def test_backward_twice_equals_backward_of_sum():
     # gradients of several words accumulate in one buffer as a sum
     alphabet, params = word_setup(18)
@@ -203,6 +324,97 @@ def test_backward_twice_equals_backward_of_sum():
             WordPass(variant, w, params, alphabet).nll_backward(both)
             separate.append(analytic_grads(variant, w, params, alphabet, {}).flat)
         assert np.allclose(both.flat, separate[0] + separate[1], rtol=0, atol=1e-15)
+
+
+def test_tape_is_deterministic():
+    # the same word, parameters, noise and dropout draws give a bitwise
+    # identical log-probability and gradient
+    alphabet, params = word_setup(19, d=4)
+    entry = LexiconEntry((1, 0, 3), (2, 0, 1, 1))
+    for variant in ALL_VARIANTS:
+        runs = []
+        for _ in range(2):
+            kwargs = pass_kwargs(params, 19, dropout=0.3)
+            word = WordPass(variant, entry, params, alphabet, **kwargs)
+            grads = params.like()
+            word.nll_backward(grads)
+            runs.append((word.logprob, grads.flat))
+        assert runs[0][0] == runs[1][0]
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+
+def test_backward_frees_intermediate_grads_and_clear_drops_records():
+    # the backward pass keeps no gradient state of its own and changes
+    # neither the parameters nor the recorded forward pass: run again, it
+    # gives exactly the same gradient, and into the same buffer it adds
+    # that gradient once more
+    alphabet, params = word_setup(20)
+    before = params.flat.copy()
+    entry = LexiconEntry((2, 1), (0, 3, 3))
+    for variant in ALL_VARIANTS:
+        word = WordPass(variant, entry, params, alphabet, **pass_kwargs(params, 20))
+        logprob, h = word.logprob, word.h.copy()
+        grads = params.like()
+        word.nll_backward(grads)
+        again = params.like()
+        word.nll_backward(again)
+        assert np.array_equal(again.flat, grads.flat)
+        word.nll_backward(grads)
+        assert np.allclose(grads.flat, 2.0 * again.flat, rtol=0, atol=1e-15)
+        assert word.logprob == logprob and np.array_equal(word.h, h)
+        assert np.array_equal(params.flat, before)
+
+
+def test_backward_rejects_non_scalar():
+    # the backward pass writes only into a gradient buffer laid out like
+    # its parameters; another layout would take the updates silently
+    alphabet, params = word_setup(21)
+    word = WordPass(Variant.JOINT, LexiconEntry((0,), (1,)), params, alphabet)
+    for other in (word_setup(21, n_morphs=5)[1], word_setup(21, d=4)[1]):
+        grads = other.like()
+        with pytest.raises(ShapeError):
+            word.nll_backward(grads)
+        assert np.all(grads.flat == 0.0)
+
+
+def test_shape_errors():
+    alphabet, params = word_setup(22)
+    n = params.flat.size
+    with pytest.raises(ShapeError):
+        params.like(np.zeros(n - 1))
+    with pytest.raises(ShapeError):
+        params.like(np.zeros(n, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        params.like(np.zeros(2 * n)[::2])  # not contiguous
+    with pytest.raises(ShapeError):
+        params.like(np.zeros((1, n)))
+    with pytest.raises(ShapeError):
+        Adam(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(IndexError):
+        WordPass(Variant.POS_INDEPENDENT, LexiconEntry((4,), (0,)), params, alphabet)
+    with pytest.raises(IndexError):
+        WordPass(Variant.POS_INDEPENDENT, LexiconEntry((0,), (alphabet.table_size,)),
+                 params, alphabet)
+
+
+def test_narrow_grads():
+    # each field is a slice of the flat buffer: the fields tile it in
+    # FIELD_NAMES order with no gap or overlap, so a gradient written
+    # through a field of `like()` lands in that slice of the gradient buffer
+    alphabet, params = word_setup(23)
+    grads = params.like()
+    WordPass(Variant.POS_DEPENDENT, LexiconEntry((0, 1), (2, 3)), params,
+             alphabet).nll_backward(grads)
+    for p in (params, grads):
+        offset = 0
+        for name in p.FIELD_NAMES:
+            arr = getattr(p, name)
+            assert arr.base is p.flat or arr.base is p.flat.base, name
+            assert arr.ctypes.data == p.flat.ctypes.data + 8 * offset, name
+            offset += arr.size
+        assert offset == p.flat.size
+    assert np.array_equal(grads.flat, np.concatenate(
+        [getattr(grads, name).ravel() for name in grads.FIELD_NAMES]))
 
 
 # ---------------------------------------------------------------------------
