@@ -16,6 +16,7 @@ loading widens to f64, so write -> read -> write is bitwise stable.
 from __future__ import annotations
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -38,23 +39,29 @@ def _write_string(f, s: str) -> None:
     f.write(raw)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    raw = f.read(n)
-    if len(raw) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return raw
+class _Reader:
+    """A whole checkpoint file in memory and a read position, so no length
+    taken from a corrupt header can ask for more bytes than are left."""
 
+    def __init__(self, raw: bytes):
+        self.raw = memoryview(raw)
+        self.pos = 0
 
-def _read_u32(f, what: str) -> int:
-    return struct.unpack("<I", _read_exact(f, 4, what))[0]
+    def exact(self, n: int, what: str) -> memoryview:
+        if n > len(self.raw) - self.pos:
+            raise CheckpointError(f"truncated checkpoint while reading {what}")
+        self.pos += n
+        return self.raw[self.pos - n:self.pos]
 
+    def u32(self, what: str) -> int:
+        return struct.unpack("<I", self.exact(4, what))[0]
 
-def _read_string(f, what: str) -> str:
-    n = _read_u32(f, f"{what} length")
-    try:
-        return _read_exact(f, n, what).decode("utf-8")
-    except UnicodeDecodeError:
-        raise CheckpointError(f"bad UTF-8 in {what}") from None
+    def string(self, what: str) -> str:
+        n = self.u32(f"{what} length")
+        try:
+            return str(self.exact(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"bad UTF-8 in {what}") from None
 
 
 def save_checkpoint(path, params: ModelParams, variant: Variant,
@@ -85,44 +92,43 @@ def save_checkpoint(path, params: ModelParams, variant: Variant,
 
 def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab]:
     try:
-        f = open(path, "rb")
+        with open(path, "rb") as f:
+            r = _Reader(f.read())
     except OSError as e:
         raise CheckpointError(f"cannot open checkpoint {path}: {e}") from None
-    with f:
-        if _read_exact(f, 4, "magic") != MAGIC:
-            raise CheckpointError("not a checkpoint file (bad magic)")
-        version = _read_u32(f, "format version")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"unsupported format version {version}")
-        tag = _read_string(f, "variant tag")
-        try:
-            variant = Variant.from_tag(tag)
-        except ValueError as e:
-            raise CheckpointError(str(e)) from None
-        d = _read_u32(f, "hidden size")
-        n_sym = _read_u32(f, "alphabet size")
-        symbols = [_read_string(f, f"symbol {i}") for i in range(n_sym)]
-        alphabet = Alphabet(symbols)
-        if alphabet.symbols != tuple(symbols):
-            raise CheckpointError("alphabet listing is not sorted and unique")
-        n_morph = _read_u32(f, "vocabulary size")
-        idents = [_read_string(f, f"morpheme {i}") for i in range(n_morph)]
-        vocab = MorphemeVocab(idents)
-        if vocab.identifiers != tuple(idents):
-            raise CheckpointError("morpheme listing is not sorted and unique")
-        n_tensors = _read_u32(f, "tensor count")
-        tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            name = _read_string(f, "tensor name")
-            rank = _read_u32(f, f"{name} rank")
-            if rank > 4:
-                raise CheckpointError(f"implausible rank {rank} for tensor {name}")
-            shape = tuple(_read_u32(f, f"{name} dim") for _ in range(rank))
-            n_vals = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(f, 4 * n_vals, f"{name} payload")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        if f.read(1):
-            raise CheckpointError("trailing bytes after last tensor")
+    if r.exact(4, "magic") != MAGIC:
+        raise CheckpointError("not a checkpoint file (bad magic)")
+    version = r.u32("format version")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported format version {version}")
+    tag = r.string("variant tag")
+    try:
+        variant = Variant.from_tag(tag)
+    except ValueError as e:
+        raise CheckpointError(str(e)) from None
+    d = r.u32("hidden size")
+    n_sym = r.u32("alphabet size")
+    symbols = [r.string(f"symbol {i}") for i in range(n_sym)]
+    alphabet = Alphabet(symbols)
+    if alphabet.symbols != tuple(symbols):
+        raise CheckpointError("alphabet listing is not sorted and unique")
+    n_morph = r.u32("vocabulary size")
+    idents = [r.string(f"morpheme {i}") for i in range(n_morph)]
+    vocab = MorphemeVocab(idents)
+    if vocab.identifiers != tuple(idents):
+        raise CheckpointError("morpheme listing is not sorted and unique")
+    n_tensors = r.u32("tensor count")
+    tensors: dict[str, np.ndarray] = {}
+    for _ in range(n_tensors):
+        name = r.string("tensor name")
+        rank = r.u32(f"{name} rank")
+        if rank > 4:
+            raise CheckpointError(f"implausible rank {rank} for tensor {name}")
+        shape = tuple(r.u32(f"{name} dim") for _ in range(rank))
+        payload = r.exact(4 * math.prod(shape), f"{name} payload")
+        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    if r.pos != len(r.raw):
+        raise CheckpointError("trailing bytes after last tensor")
 
     missing = [n for n in ModelParams.FIELD_NAMES if n not in tensors]
     if missing:
@@ -137,7 +143,8 @@ def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab
             raise CheckpointError(f"tensor {name} has shape {tensors[name].shape}, "
                                   f"expected {shape}")
     params = ModelParams(expected)
-    for name, arr in params.named_arrays().items():
-        arr[...] = tensors[name]
+    with np.errstate(invalid="ignore"):  # a signalling NaN fails check_finite
+        for name, arr in params.named_arrays().items():
+            arr[...] = tensors[name]
     params.check_finite()
     return params, variant, alphabet, vocab

@@ -1,10 +1,10 @@
 """Command-line entry points.
 
 Subcommands: train, predict, evaluate, export-embeddings, resample.
-Configuration is layered: built-in defaults, then a flat key=value
-config file (--config), then command-line flags. Every run echoes its
-effective configuration into the output directory so any result can be
-reproduced from the echo alone.
+Options are declared once, in build_parser. Configuration is layered:
+built-in defaults, then a flat key=value config file (--config), then
+command-line flags. Every run echoes all its options into the output
+directory, so any result can be reproduced from the echo alone.
 
 Exit status: 0 success, 1 runtime failure, 2 usage or configuration
 problem.
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (SplitSpec, WeightedForm, build_vocab, decompose,
+from .data import (SplitSpec, WeightedForm, _read_lines, build_vocab, decompose,
                    parse_unimorph_tsv, parse_weighted_tsv, read_split_manifest,
                    sample_training_set, split_paradigms, write_split_manifest)
 from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
@@ -33,54 +33,57 @@ from .training import TrainConfig, train
 from .vocab import encode_entry
 
 
-def parse_bool(s: str) -> bool:
-    low = s.lower()
-    if low not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {s!r}")
-    return low == "true"
+def options(parser) -> dict:
+    """A subcommand's settable options, keyed by config-file key (the
+    option's dest with hyphens); --help and --config are not settings."""
+    return {a.dest.replace("_", "-"): a for a in parser._actions
+            if a.dest not in ("help", "config")}
 
 
-# every key a config file may set, with its parser
-CONFIG_KEYS = {
-    "seed": int, "variant": lambda s: Variant.from_tag(s).value, "dim": int, "out-dir": str,
-    "data": str, "weighted-data": str, "split-manifest": str,
-    "split-fracs": str, "coverage": parse_bool,
-    "sample-k": int, "dropout": float, "lr": float, "min-lr": float,
-    "patience": int, "batch-size": int, "epochs": int, "max-len": int,
-    "checkpoint": str, "input": str, "morphemes": str, "gold": parse_bool,
-    "out": str, "projection": str, "similarity": str,
-    "sizes": str, "resamples": int, "variants": str, "run-name": str,
-}
+def config_value(action, raw: str):
+    """A config-file value parsed as its option would parse it."""
+    if action.nargs == 0:  # store_true / store_false: the value itself
+        if raw.lower() not in ("true", "false"):
+            raise ValueError(raw)
+        return raw.lower() == "true"
+    value = (action.type or str)(raw)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(raw)
+    return value
 
 
-def parse_config_file(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+def apply_config_file(path, subcommands) -> None:
+    """Each key=value becomes a default of every subcommand that has the
+    option, so flags still override it."""
+    try:
+        lines = _read_lines(path)
+    except (DataError, OSError) as e:
+        raise ConfigError(str(e)) from None
+    tables = [(p, options(p)) for p in subcommands.values()]
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        targets = [(p, opts[key]) for p, opts in tables if key in opts]
+        if not targets:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        for sub_parser, action in targets:
             try:
-                values[key.replace("-", "_")] = CONFIG_KEYS[key](raw)
+                sub_parser.set_defaults(**{action.dest: config_value(action, raw)})
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
-    return values
 
 
-def echo_config(ns, keys) -> None:
-    os.makedirs(ns.out_dir, exist_ok=True)
+def echo_config(ns, parser) -> None:
+    """One key=value line per option of the subcommand that ran."""
     lines = [f"command={ns.command}"]
-    for key in sorted(keys):
-        lines.append(f"{key}={getattr(ns, key.replace('-', '_'))}")
+    for key, action in sorted(options(parser).items()):
+        lines.append(f"{key}={getattr(ns, action.dest)}")
     with open(os.path.join(ns.out_dir, "config.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -131,14 +134,18 @@ def load_slotted_corpus(ns):
     raise ConfigError("a corpus is required: --data or --weighted-data")
 
 
+def read_manifest(path, n):
+    """A split manifest whose every index names one of n corpus rows."""
+    train_idx, dev_idx, test_idx, seed = read_split_manifest(path)
+    for i in train_idx + dev_idx + test_idx:
+        if not 0 <= i < n:
+            raise DataError(f"split manifest index {i} out of range for {n} rows")
+    return train_idx, dev_idx, test_idx, seed
+
+
 def resolve_split(ns, slots):
     if ns.split_manifest:
-        train_idx, dev_idx, test_idx, seed = read_split_manifest(ns.split_manifest)
-        n = len(slots)
-        for i in train_idx + dev_idx + test_idx:
-            if not 0 <= i < n:
-                raise DataError(f"split manifest index {i} out of range for {n} rows")
-        return train_idx, dev_idx, test_idx, seed
+        return read_manifest(ns.split_manifest, len(slots))
     fracs = parse_fracs(ns.split_fracs)
     split_seed = derive_seed(ns.seed, "split")
     spec = SplitSpec(train_frac=fracs[0], dev_frac=fracs[1], test_frac=fracs[2],
@@ -162,12 +169,7 @@ def check_symbols(forms, alphabet):
 # ---------------------------------------------------------------------------
 # commands
 
-TRAIN_ECHO = ("data", "weighted-data", "variant", "dim", "seed", "dropout", "lr",
-              "min-lr", "patience", "batch-size", "epochs", "split-fracs",
-              "coverage", "sample-k", "out-dir")
-
-
-def cmd_train(ns) -> int:
+def cmd_train(ns) -> None:
     slots, forms, counts = load_slotted_corpus(ns)
     train_idx, dev_idx, test_idx, split_seed = resolve_split(ns, slots)
     alphabet, vocab = build_vocab(forms, slots)
@@ -191,8 +193,6 @@ def cmd_train(ns) -> int:
         batch_size=ns.batch_size, max_epochs=ns.epochs, seed=ns.seed)
     params, log = train(config, train_entries, dev_entries, alphabet, vocab)
 
-    os.makedirs(ns.out_dir, exist_ok=True)
-    echo_config(ns, TRAIN_ECHO)
     save_checkpoint(os.path.join(ns.out_dir, "checkpoint.vpck"),
                     params, config.variant, alphabet, vocab)
     log.write(os.path.join(ns.out_dir, "trainlog.tsv"))
@@ -202,7 +202,6 @@ def cmd_train(ns) -> int:
           f"best dev loss {log.best_dev_loss:.6f} at epoch {log.best_epoch} "
           f"({log.stop_reason})")
     print(f"checkpoint: {os.path.join(ns.out_dir, 'checkpoint.vpck')}")
-    return 0
 
 
 def read_prediction_requests(ns):
@@ -210,23 +209,18 @@ def read_prediction_requests(ns):
     requests = []
     if ns.morphemes:
         requests.append((tuple(ns.morphemes.split("+")), None))
-    if ns.input:
-        if not os.path.exists(ns.input):
-            raise DataError(f"no such file: {ns.input}")
-        with open(ns.input, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                cols = line.split("\t")
-                gold = None
-                if ns.gold:
-                    if len(cols) < 2:
-                        raise DataError(f"--gold needs a final gold column: {line!r}")
-                    gold = cols[-1]
-                    cols = cols[:-1]
-                morphemes = tuple(cols) if len(cols) > 1 else tuple(cols[0].split("+"))
-                requests.append((morphemes, gold))
+    for line in _read_lines(ns.input) if ns.input else ():
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        gold = None
+        if ns.gold:
+            if len(cols) < 2:
+                raise DataError(f"--gold needs a final gold column: {line!r}")
+            gold = cols[-1]
+            cols = cols[:-1]
+        morphemes = tuple(cols) if len(cols) > 1 else tuple(cols[0].split("+"))
+        requests.append((morphemes, gold))
     if not requests:
         raise ConfigError("nothing to predict: give --morphemes and/or --input")
     return requests
@@ -237,9 +231,15 @@ def check_max_len(ns) -> None:
         raise ConfigError(f"max-len must be >= 1, got {ns.max_len}")
 
 
-def cmd_predict(ns) -> int:
+def load_model(ns):
+    if not ns.checkpoint:
+        raise ConfigError("a checkpoint is required: --checkpoint")
+    return load_checkpoint(ns.checkpoint)
+
+
+def cmd_predict(ns) -> None:
     check_max_len(ns)
-    params, variant, alphabet, vocab = load_checkpoint(ns.checkpoint)
+    params, variant, alphabet, vocab = load_model(ns)
     requests = read_prediction_requests(ns)
     out_lines = []
     for morphemes, gold in requests:
@@ -263,8 +263,6 @@ def cmd_predict(ns) -> int:
             f.write(text + "\n")
     else:
         print(text)
-    echo_config(ns, ("checkpoint", "input", "morphemes", "gold", "max-len", "out-dir"))
-    return 0
 
 
 def report_table(name, variant, rep: EvalReport) -> str:
@@ -274,15 +272,12 @@ def report_table(name, variant, rep: EvalReport) -> str:
     return header + "\n" + row
 
 
-def cmd_evaluate(ns) -> int:
+def cmd_evaluate(ns) -> None:
     check_max_len(ns)
-    params, variant, alphabet, vocab = load_checkpoint(ns.checkpoint)
+    params, variant, alphabet, vocab = load_model(ns)
     slots, forms, counts = load_slotted_corpus(ns)
     if ns.split_manifest:
-        _, _, test_idx, _ = read_split_manifest(ns.split_manifest)
-        for i in test_idx:
-            if not 0 <= i < len(slots):
-                raise DataError(f"split manifest index {i} out of range")
+        test_idx = read_manifest(ns.split_manifest, len(slots))[2]
     else:
         test_idx = list(range(len(slots)))
     if not test_idx:
@@ -294,9 +289,6 @@ def cmd_evaluate(ns) -> int:
     name = ns.run_name or os.path.splitext(os.path.basename(ns.data or ns.weighted_data))[0]
     table = report_table(name, variant, rep)
     print(table)
-    os.makedirs(ns.out_dir, exist_ok=True)
-    echo_config(ns, ("checkpoint", "data", "weighted-data", "split-manifest",
-                     "max-len", "run-name", "out-dir"))
     with open(os.path.join(ns.out_dir, "report.txt"), "w", encoding="utf-8") as f:
         f.write(table + "\n")
     payload = {
@@ -317,28 +309,24 @@ def cmd_evaluate(ns) -> int:
     }
     with open(os.path.join(ns.out_dir, "report.json"), "w", encoding="utf-8") as f:
         json.dump(payload, f, ensure_ascii=False, indent=1)
-    return 0
 
 
-def cmd_export_embeddings(ns) -> int:
-    params, variant, alphabet, vocab = load_checkpoint(ns.checkpoint)
+def cmd_export_embeddings(ns) -> None:
+    params, variant, alphabet, vocab = load_model(ns)
     if ns.similarity:
         parts = ns.similarity.split(",")
         if len(parts) != 2:
             raise ConfigError(f"--similarity needs two comma-separated identifiers, got {ns.similarity!r}")
         a, b = (params.morph_emb[vocab.index(p)] for p in parts)
         print(f"{cosine(a, b):.6f}")
-        return 0
+        return
     rows = export_rows(params, vocab, ns.projection)
-    os.makedirs(ns.out_dir, exist_ok=True)
     out_path = ns.out or os.path.join(ns.out_dir, "embeddings.tsv")
     write_embeddings(out_path, rows)
-    echo_config(ns, ("checkpoint", "projection", "out-dir"))
     print(f"wrote {len(rows)} rows to {out_path}")
-    return 0
 
 
-def cmd_resample(ns) -> int:
+def cmd_resample(ns) -> None:
     check_max_len(ns)
     if not ns.weighted_data:
         raise ConfigError("resample needs --weighted-data")
@@ -357,7 +345,6 @@ def cmd_resample(ns) -> int:
     pool = [WeightedForm(forms[i], tuple(slots[i]), counts[i]) for i in pool_idx]
     dev_entries = entries_for(dev_idx, slots, forms, counts, alphabet, vocab)
     test_items = [(tuple(slots[i]), forms[i]) for i in test_idx]
-    max_len = ns.max_len
 
     lines = ["k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"]
     for variant in variants:
@@ -370,7 +357,7 @@ def cmd_resample(ns) -> int:
                 min_lr=ns.min_lr, patience=ns.patience, batch_size=ns.batch_size,
                 max_epochs=ns.epochs, seed=sub_seed)
             params, _ = train(config, train_entries, dev_entries, alphabet, vocab)
-            return evaluate(variant, params, alphabet, vocab, test_items, max_len)
+            return evaluate(variant, params, alphabet, vocab, test_items, ns.max_len)
 
         points = resample_eval(protocol, sizes, ns.resamples, ns.seed)
         for p in points:
@@ -379,20 +366,20 @@ def cmd_resample(ns) -> int:
                          f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")
     text = "\n".join(lines)
     print(text)
-    os.makedirs(ns.out_dir, exist_ok=True)
-    echo_config(ns, ("weighted-data", "sizes", "resamples", "variants", "dim",
-                     "seed", "dropout", "lr", "min-lr", "patience", "batch-size",
-                     "epochs", "split-fracs", "coverage", "out-dir"))
     with open(os.path.join(ns.out_dir, "curve.tsv"), "w", encoding="utf-8") as f:
         f.write(text + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 
 class ArgumentParser(argparse.ArgumentParser):
-    """Usage errors end in one ``error:`` line, like every other failure."""
+    """Usage errors end in one ``error:`` line, like every other failure.
+    Options must be spelled out: with abbreviations, resample's --variants
+    would also answer to --variant."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -401,25 +388,24 @@ class ArgumentParser(argparse.ArgumentParser):
 
 def add_common(p):
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--variant", default="pos-indep",
-                   choices=[v.value for v in Variant])
-    p.add_argument("--dim", type=int, default=200, help="embedding/hidden size d")
     p.add_argument("--out-dir", default="vecphon-out")
 
 
-def add_corpus(p):
-    p.add_argument("--data", help="paradigm TSV: lemma<TAB>form<TAB>features")
+def add_corpus(p, paradigm=True):
+    if paradigm:
+        p.add_argument("--data", help="paradigm TSV: lemma<TAB>form<TAB>features")
     p.add_argument("--weighted-data",
                    help="weighted TSV: form<TAB>stem<TAB>affix-or-∅<TAB>count")
     p.add_argument("--split-manifest", help="reuse an existing split directory")
+
+
+def add_training(p):
+    """Options of the runs that split a corpus and train (train, resample)."""
     p.add_argument("--split-fracs", default="0.8,0.1,0.1")
     p.add_argument("--no-coverage", dest="coverage", action="store_false",
                    help="allow dev/test morphemes unseen in train")
-    p.set_defaults(coverage=True)
-
-
-def add_train_knobs(p):
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=int, default=200, help="embedding/hidden size d")
     p.add_argument("--dropout", type=float, default=0.2)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--min-lr", type=float, default=1e-5)
@@ -429,6 +415,8 @@ def add_train_knobs(p):
 
 
 def build_parser():
+    """The one declaration of every option: config-file keys and the
+    config.txt echo are derived from these subparsers."""
     parser = ArgumentParser(
         prog="vecphon",
         description="Morpheme-vector word spelling: train and query "
@@ -440,7 +428,8 @@ def build_parser():
     p = sub.add_parser("train", help="fit a model and write a checkpoint")
     add_common(p)
     add_corpus(p)
-    add_train_knobs(p)
+    add_training(p)
+    p.add_argument("--variant", default="pos-indep", choices=[v.value for v in Variant])
     p.add_argument("--sample-k", type=int, default=None,
                    help="subsample this many training words by token count")
     p.set_defaults(func=cmd_train)
@@ -448,7 +437,7 @@ def build_parser():
 
     p = sub.add_parser("predict", help="spell words for morpheme sequences")
     add_common(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint")
     p.add_argument("--morphemes", help="single request, e.g. lemma+V;PST")
     p.add_argument("--input", help="batch file: morphemes per line, tab- or +-separated")
     p.add_argument("--gold", action="store_true",
@@ -461,7 +450,7 @@ def build_parser():
     p = sub.add_parser("evaluate", help="score a checkpoint on held-out forms")
     add_common(p)
     add_corpus(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint")
     p.add_argument("--max-len", type=int, default=40)
     p.add_argument("--run-name", default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -469,7 +458,7 @@ def build_parser():
 
     p = sub.add_parser("export-embeddings", help="dump morpheme vectors")
     add_common(p)
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint")
     p.add_argument("--projection", default="none", choices=PROJECTIONS)
     p.add_argument("--out", help="output file (default: out-dir/embeddings.tsv)")
     p.add_argument("--similarity", metavar="A,B",
@@ -479,8 +468,8 @@ def build_parser():
 
     p = sub.add_parser("resample", help="learning curves over training sizes")
     add_common(p)
-    add_corpus(p)
-    add_train_knobs(p)
+    add_corpus(p, paradigm=False)
+    add_training(p)
     p.add_argument("--sizes", default="200,400,600,800",
                    help="comma-separated training sizes k")
     p.add_argument("--resamples", type=int, default=10)
@@ -494,6 +483,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Parses, creates --out-dir, runs the subcommand and, on success,
+    echoes its options to out-dir/config.txt."""
     parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -504,21 +495,18 @@ def main(argv=None) -> int:
             elif tok.startswith("--config="):
                 config_path = tok.split("=", 1)[1]
         if config_path:
-            defaults = parse_config_file(config_path)
-            for sub_parser in subcommands.values():
-                sub_parser.set_defaults(**defaults)
+            apply_config_file(config_path, subcommands)
         ns = parser.parse_args(argv)
-    except ConfigError as e:
-        print(f"error: config: {e}", file=sys.stderr)
-        return 2
+        os.makedirs(ns.out_dir, exist_ok=True)
+        ns.func(ns)
+        echo_config(ns, subcommands[ns.command])
+        return 0
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    try:
-        return ns.func(ns)
     except ConfigError as e:
         print(f"error: config: {e}", file=sys.stderr)
         return 2
-    except VecphonError as e:
+    except (VecphonError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -65,8 +65,13 @@ class SplitSpec:
 def _read_lines(path) -> list[str]:
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = raw.count(b"\n", 0, e.start) + 1
+        raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
     return text.replace("\r\n", "\n").split("\n")
 
 

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import os
+
+# The suite's GEMMs are a few rows each, where a second BLAS thread only
+# spins; an explicit setting in the environment still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import sys
 from pathlib import Path
 

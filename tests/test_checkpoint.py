@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
-from vecphon.errors import CheckpointError
+from vecphon.errors import CheckpointError, VecphonError
 from vecphon.model import Variant, init_params
 from vecphon.vocab import Alphabet, MorphemeVocab
 
@@ -77,3 +77,23 @@ def test_non_finite_rejected(tmp_path):
     save_checkpoint(path, params, Variant.JOINT, alphabet, vocab)
     with pytest.raises(Exception, match="non-finite"):
         load_checkpoint(path)
+
+
+def test_every_truncation_and_bit_flip_loads_or_raises_vecphon_error(tmp_path):
+    """No corruption of a small checkpoint may escape as anything but a
+    VecphonError: header lengths are bounded by the bytes left in the file."""
+    params, alphabet, vocab = setup(seed=4, d=3)
+    path = tmp_path / "m.vpck"
+    save_checkpoint(path, params, Variant.JOINT, alphabet, vocab)
+    raw = path.read_bytes()
+    corrupt = tmp_path / "corrupt.vpck"
+    variants = [raw[:n] for n in range(len(raw))]
+    for i in range(len(raw)):
+        for bit in range(8):
+            variants.append(raw[:i] + bytes([raw[i] ^ (1 << bit)]) + raw[i + 1:])
+    for data in variants:
+        corrupt.write_bytes(data)
+        try:
+            load_checkpoint(corrupt)
+        except VecphonError:
+            pass

@@ -7,9 +7,27 @@ import numpy as np
 
 import synthlang
 from vecphon.checkpoint import load_checkpoint
-from vecphon.cli import main
+from vecphon.cli import build_parser, main
 from vecphon.evaluation import surprisal
 from vecphon.vocab import encode_entry
+
+
+def option_actions(sub_parser):
+    """A subcommand's settable options by long name (dest with hyphens),
+    read straight from its parser."""
+    return {a.dest.replace("_", "-"): a for a in sub_parser._actions
+            if a.dest not in ("help", "config")}
+
+
+# options that no command read, removed from these subcommands
+REMOVED_OPTIONS = [
+    ("predict", "--seed", "1"), ("predict", "--variant", "joint"), ("predict", "--dim", "8"),
+    ("evaluate", "--seed", "1"), ("evaluate", "--variant", "joint"), ("evaluate", "--dim", "8"),
+    ("evaluate", "--split-fracs", "0.1,0.1,0.8"), ("evaluate", "--no-coverage"),
+    ("export-embeddings", "--seed", "1"), ("export-embeddings", "--variant", "joint"),
+    ("export-embeddings", "--dim", "8"),
+    ("resample", "--variant", "joint"), ("resample", "--data", "toy.tsv"),
+]
 
 
 def write_toy(tmp_path, n_stems=6, n_suffixes=4):
@@ -234,6 +252,14 @@ def test_exit_codes(tmp_path, capsys):
     bad_coverage.write_text("coverage=yes\n")
     bad_gold = tmp_path / "bad-gold.cfg"
     bad_gold.write_text("gold=1\n")
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    undecodable = tmp_path / "undecodable.tsv"
+    undecodable.write_bytes(b"stem0\tiki\tsuf0\nstem1\ti\xffi\tsuf1\n")
+    undecodable_weighted = tmp_path / "undecodable-w.tsv"
+    undecodable_weighted.write_bytes(b"iki\tstem0\tsuf0\t3\ni\xffi\tstem1\tsuf1\t2\n")
+    undecodable_cfg = tmp_path / "undecodable.cfg"
+    undecodable_cfg.write_bytes(b"dim=8\nrun-name=\xff\n")
     manifests = {
         "non-integer": write_manifest(tmp_path / "m1", **{"dev.idx": "6\nsix\n"}),
         "no-seed": write_manifest(tmp_path / "m2", **{"seed.txt": None}),
@@ -256,6 +282,9 @@ def test_exit_codes(tmp_path, capsys):
         (["train", "--config", str(bad_coverage), "--data", data, "--out-dir", x], 2),
         (["predict", "--config", str(bad_gold), "--checkpoint", ckpt,
           "--morphemes", "a+b", "--out-dir", x], 2),
+        (["predict", "--morphemes", "a+b", "--out-dir", x], 2),   # no checkpoint
+        (["evaluate", "--data", data, "--out-dir", x], 2),
+        (["export-embeddings", "--out-dir", x], 2),
         (["predict", "--checkpoint", ckpt, "--morphemes", "a+b", "--max-len", "0",
           "--out-dir", x], 2),
         (evaluate + ["--max-len", "0"], 2),
@@ -263,20 +292,43 @@ def test_exit_codes(tmp_path, capsys):
           "--max-len", "-1", "--out-dir", x], 2),
         (["predict", "--checkpoint", str(tmp_path / "nope.vpck"),
           "--morphemes", "a+b", "--out-dir", x], 1),
+        (["train", "--data", str(empty), "--out-dir", x], 1),
+        (["train", "--data", data, "--dim", "8", "--epochs", "1",
+          "--out-dir", "/dev/null/x"], 1),             # fails before training
+        (["train", "--data", str(undecodable), "--out-dir", x], 1),
+        (["train", "--weighted-data", str(undecodable_weighted), "--out-dir", x], 1),
+        (["predict", "--checkpoint", ckpt, "--input", str(undecodable), "--out-dir", x], 1),
+        (["evaluate", "--config", str(undecodable_cfg), "--checkpoint", ckpt,
+          "--data", data, "--out-dir", x], 2),
     ]
-    for name, manifest in manifests.items():
-        cases.append((train + ["--split-manifest", manifest], 1))
-        cases.append((evaluate + ["--split-manifest", manifest], 1))
+    # a bad value for every typed, choices or boolean option of every
+    # subcommand, through a config file and as a flag
+    _, subcommands = build_parser()
+    for command, sub_parser in subcommands.items():
+        for key, action in option_actions(sub_parser).items():
+            if action.nargs == 0 or action.type is not None or action.choices is not None:
+                cfg = tmp_path / f"bad-{command}-{key}.cfg"
+                cfg.write_text(f"{key}=bogus\n")
+                flag = action.option_strings[0]
+                cases.append(([command, "--config", str(cfg), "--out-dir", x], 2, f"for {key}"))
+                cases.append(([command, f"{flag}=bogus", "--out-dir", x], 2, flag))
+    for command, *option in REMOVED_OPTIONS:
+        cases.append(([command, *option, "--out-dir", x], 2, option[0]))
+    for name, manifest in manifests.items():    # the error names the manifest file
+        cases.append((train + ["--split-manifest", manifest], 1, manifest))
+        cases.append((evaluate + ["--split-manifest", manifest], 1, manifest))
 
-    for argv, code in cases:
+    for argv, code, *needle in cases:
         capsys.readouterr()
         assert main(argv) == code, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert "Traceback" not in err, argv
+        if code:
+            assert "trained" not in out, argv
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == (0 if code == 0 else 1), (argv, err)
-        if "--split-manifest" in argv:
-            assert argv[-1] in errors[0], (argv, err)  # names the manifest file
+        if needle:
+            assert needle[0] in errors[0], (argv, err)
 
 
 def test_train_with_sample_k(tmp_path):
@@ -290,3 +342,43 @@ def test_train_with_sample_k(tmp_path):
     msg = open(out / "config.txt").read()
     assert "sample-k=8" in msg
     assert (out / "checkpoint.vpck").exists()
+
+
+def test_config_echo_lists_every_option_of_the_subcommand(tmp_path):
+    data, out = train_toy(tmp_path)
+    ckpt = os.path.join(out, "checkpoint.vpck")
+    wdata = tmp_path / "w.tsv"
+    synthlang.write_weighted_tsv(wdata, synthlang.harmony_slots(6, 4),
+                                 np.random.default_rng(0))
+    runs = {"train": out}
+    for command, argv in {
+        "predict": ["--checkpoint", ckpt, "--morphemes", "stem0+suf0", "--max-len", "12"],
+        "evaluate": ["--checkpoint", ckpt, "--data", data, "--max-len", "12"],
+        "export-embeddings": ["--checkpoint", ckpt, "--similarity", "suf0,suf1"],
+        "resample": ["--weighted-data", str(wdata), "--sizes", "4", "--resamples", "2",
+                     "--dim", "8", "--epochs", "1", "--max-len", "12"],
+    }.items():
+        runs[command] = str(tmp_path / command)
+        assert main([command, *argv, "--out-dir", runs[command]]) == 0, command
+    _, subcommands = build_parser()
+    for command, out_dir in runs.items():
+        lines = open(os.path.join(out_dir, "config.txt")).read().splitlines()
+        assert lines[0] == f"command={command}"
+        keys = [line.split("=", 1)[0] for line in lines[1:]]
+        assert sorted(keys) == sorted(option_actions(subcommands[command])), command
+
+
+def test_checkpoint_from_config_file_matches_the_flag(tmp_path, capsys):
+    _, out = train_toy(tmp_path)
+    ckpt = os.path.join(out, "checkpoint.vpck")
+    cfg = tmp_path / "shared.cfg"
+    # keys of other subcommands (variant, sizes) are left to them
+    cfg.write_text(f"checkpoint={ckpt}\nmax-len=12\nvariant=joint\nsizes=4\n")
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", ckpt, "--morphemes", "stem0+suf0",
+                 "--max-len", "12", "--out-dir", str(tmp_path / "flag")]) == 0
+    by_flag = capsys.readouterr().out
+    assert main(["predict", "--config", str(cfg), "--morphemes", "stem0+suf0",
+                 "--out-dir", str(tmp_path / "file")]) == 0
+    assert capsys.readouterr().out == by_flag
+    assert f"checkpoint={ckpt}" in (tmp_path / "file" / "config.txt").read_text()

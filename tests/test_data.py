@@ -53,6 +53,9 @@ def test_parse_unimorph_errors(tmp_path):
         parse_unimorph_tsv(write(tmp_path / "c.tsv", "\n\n"))
     with pytest.raises(DataError):
         parse_unimorph_tsv(tmp_path / "missing.tsv")
+    (tmp_path / "d.tsv").write_bytes(b"a\tb\tc\nx\t\xff\tz\n")
+    with pytest.raises(DataError, match="d.tsv:2: not valid UTF-8"):
+        parse_unimorph_tsv(tmp_path / "d.tsv")
 
 
 def test_decompose():
@@ -78,6 +81,9 @@ def test_parse_weighted_errors(tmp_path):
         parse_weighted_tsv(write(tmp_path / "b.tsv", "x\ty\tz\tmany\n"))
     with pytest.raises(ParseError, match="negative"):
         parse_weighted_tsv(write(tmp_path / "c.tsv", "x\ty\tz\t-1\n"))
+    (tmp_path / "d.tsv").write_bytes(b"\xffx\ty\tz\t1\n")
+    with pytest.raises(DataError, match="d.tsv:1: not valid UTF-8"):
+        parse_weighted_tsv(tmp_path / "d.tsv")
 
 
 # ---------------------------------------------------------------------------
