@@ -16,6 +16,7 @@ from .errors import ShapeError
 # elements per slice of an Adam update: the slice's six operands stay in
 # cache while a dozen elementwise passes run over them
 ADAM_BLOCK = 1 << 15
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -27,17 +28,13 @@ class Adam:
     ``zero_grads`` clears it for the next accumulation.
     """
 
-    def __init__(self, params: np.ndarray, grad: np.ndarray, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, grad: np.ndarray, lr: float = 1e-3):
         if params.shape != grad.shape or params.ndim != 1:
             raise ShapeError(f"gradient buffer {grad.shape} does not match "
                              f"flat parameter buffer {params.shape}")
         self.params = params
         self.grad = grad
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
@@ -46,7 +43,7 @@ class Adam:
     def step(self) -> None:
         """One update: p -= lr * (m / c1) / (sqrt(v / c2) + eps)."""
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         n = self.params.size
@@ -63,7 +60,7 @@ class Adam:
             v += s
             np.divide(v, c2, out=s)
             np.sqrt(s, out=s)
-            s += self.eps
+            s += ADAM_EPS
             np.divide(m, c1, out=r)
             r *= self.lr
             r /= s

@@ -3,8 +3,8 @@
 Subcommands: train, predict, evaluate, export-embeddings, resample.
 Options are declared once, in build_parser. Configuration is layered:
 built-in defaults, then a flat key=value config file (--config), then
-command-line flags. Every run echoes all its options into the output
-directory, so any result can be reproduced from the echo alone.
+command-line flags. Every run echoes all its options into
+out-dir/config.txt, which replays the run when given as --config.
 
 Exit status: 0 success, 1 runtime failure, 2 usage or configuration
 problem.
@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (SplitSpec, WeightedForm, _read_lines, build_vocab, decompose,
-                   parse_unimorph_tsv, parse_weighted_tsv, read_split_manifest,
-                   sample_training_set, split_paradigms, write_split_manifest)
+from .data import (SplitSpec, _read_lines, build_vocab, parse_unimorph_tsv,
+                   parse_weighted_tsv, read_split_manifest, sample_training_set,
+                   split_paradigms, write_split_manifest)
 from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
 from .errors import CompatibilityError, ConfigError, DataError, VecphonError
 from .evaluation import EvalReport, evaluate, resample_eval, surprisal
@@ -54,7 +54,9 @@ def config_value(action, raw: str):
 
 def apply_config_file(path, subcommands) -> None:
     """Each key=value becomes a default of every subcommand that has the
-    option, so flags still override it."""
+    option, so flags still override it. An empty value (an unset option)
+    sets nothing, and a command= line naming a subcommand is skipped, so
+    a config.txt echo reads back as the run that wrote it."""
     try:
         lines = _read_lines(path)
     except (DataError, OSError) as e:
@@ -69,9 +71,13 @@ def apply_config_file(path, subcommands) -> None:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
+        if key == "command" and raw in subcommands:
+            continue
         targets = [(p, opts[key]) for p, opts in tables if key in opts]
         if not targets:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if not raw:
+            continue
         for sub_parser, action in targets:
             try:
                 sub_parser.set_defaults(**{action.dest: config_value(action, raw)})
@@ -80,10 +86,12 @@ def apply_config_file(path, subcommands) -> None:
 
 
 def echo_config(ns, parser) -> None:
-    """One key=value line per option of the subcommand that ran."""
+    """One key=value line per option of the subcommand that ran; an
+    unset option reads ``key=``."""
     lines = [f"command={ns.command}"]
     for key, action in sorted(options(parser).items()):
-        lines.append(f"{key}={getattr(ns, action.dest)}")
+        value = getattr(ns, action.dest)
+        lines.append(f"{key}={'' if value is None else value}")
     with open(os.path.join(ns.out_dir, "config.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -119,18 +127,14 @@ def parse_int_list(text, what) -> list[int]:
 # ---------------------------------------------------------------------------
 # corpus plumbing shared by train / evaluate / resample
 
-def load_slotted_corpus(ns):
-    """Returns (slots, forms, counts): morpheme tuples, surface strings,
-    token counts (all 1 for paradigm data)."""
+def load_corpus(ns):
+    """The corpus rows of --data or --weighted-data."""
     if ns.data and ns.weighted_data:
         raise ConfigError("give either --data or --weighted-data, not both")
     if ns.data:
-        rows = parse_unimorph_tsv(ns.data)
-        return [decompose(r) for r in rows], [r.form for r in rows], [1] * len(rows)
+        return parse_unimorph_tsv(ns.data)
     if ns.weighted_data:
-        rows = parse_weighted_tsv(ns.weighted_data)
-        return ([r.morphemes for r in rows], [r.form for r in rows],
-                [r.count for r in rows])
+        return parse_weighted_tsv(ns.weighted_data)
     raise ConfigError("a corpus is required: --data or --weighted-data")
 
 
@@ -143,20 +147,26 @@ def read_manifest(path, n):
     return train_idx, dev_idx, test_idx, seed
 
 
-def resolve_split(ns, slots):
+def resolve_split(ns, rows):
     if ns.split_manifest:
-        return read_manifest(ns.split_manifest, len(slots))
+        return read_manifest(ns.split_manifest, len(rows))
     fracs = parse_fracs(ns.split_fracs)
     split_seed = derive_seed(ns.seed, "split")
     spec = SplitSpec(train_frac=fracs[0], dev_frac=fracs[1], test_frac=fracs[2],
                      seed=split_seed, coverage=ns.coverage)
-    train_idx, dev_idx, test_idx = split_paradigms(slots, spec)
+    train_idx, dev_idx, test_idx = split_paradigms([r.morphemes for r in rows], spec)
     return train_idx, dev_idx, test_idx, split_seed
 
 
-def entries_for(indices, slots, forms, counts, alphabet, vocab):
-    return [encode_entry(alphabet, vocab, slots[i], forms[i], counts[i])
-            for i in indices]
+def encode_rows(rows, alphabet, vocab):
+    return [encode_entry(alphabet, vocab, r.morphemes, r.form) for r in rows]
+
+
+def train_config(ns, variant, seed) -> TrainConfig:
+    """The training settings of a train or resample run."""
+    return TrainConfig(
+        variant=variant, d=ns.dim, dropout=ns.dropout, lr=ns.lr, min_lr=ns.min_lr,
+        patience=ns.patience, batch_size=ns.batch_size, max_epochs=ns.epochs, seed=seed)
 
 
 def check_symbols(forms, alphabet):
@@ -170,27 +180,21 @@ def check_symbols(forms, alphabet):
 # commands
 
 def cmd_train(ns) -> None:
-    slots, forms, counts = load_slotted_corpus(ns)
-    train_idx, dev_idx, test_idx, split_seed = resolve_split(ns, slots)
-    alphabet, vocab = build_vocab(forms, slots)
+    rows = load_corpus(ns)
+    train_idx, dev_idx, test_idx, split_seed = resolve_split(ns, rows)
+    alphabet, vocab = build_vocab([r.form for r in rows], [r.morphemes for r in rows])
 
+    train_rows = [rows[i] for i in train_idx]
     if ns.sample_k is not None:
-        if ns.sample_k > len(train_idx):
+        if ns.sample_k > len(train_rows):
             raise ConfigError(f"--sample-k {ns.sample_k} exceeds the "
-                              f"{len(train_idx)} training rows")
-        pool = [WeightedForm(forms[i], tuple(slots[i]), counts[i]) for i in train_idx]
-        rng = derive_rng(ns.seed, "sample")
-        chosen = sample_training_set(pool, ns.sample_k, rng)
-        train_entries = [encode_entry(alphabet, vocab, w.morphemes, w.form, w.count)
-                         for w in chosen]
-    else:
-        train_entries = entries_for(train_idx, slots, forms, counts, alphabet, vocab)
-    dev_entries = entries_for(dev_idx, slots, forms, counts, alphabet, vocab)
+                              f"{len(train_rows)} training rows")
+        train_rows = sample_training_set(train_rows, ns.sample_k,
+                                         derive_rng(ns.seed, "sample"))
+    train_entries = encode_rows(train_rows, alphabet, vocab)
+    dev_entries = encode_rows([rows[i] for i in dev_idx], alphabet, vocab)
 
-    config = TrainConfig(
-        variant=Variant.from_tag(ns.variant), d=ns.dim, dropout=ns.dropout,
-        lr=ns.lr, min_lr=ns.min_lr, patience=ns.patience,
-        batch_size=ns.batch_size, max_epochs=ns.epochs, seed=ns.seed)
+    config = train_config(ns, Variant.from_tag(ns.variant), ns.seed)
     params, log = train(config, train_entries, dev_entries, alphabet, vocab)
 
     save_checkpoint(os.path.join(ns.out_dir, "checkpoint.vpck"),
@@ -275,15 +279,13 @@ def report_table(name, variant, rep: EvalReport) -> str:
 def cmd_evaluate(ns) -> None:
     check_max_len(ns)
     params, variant, alphabet, vocab = load_model(ns)
-    slots, forms, counts = load_slotted_corpus(ns)
+    rows = load_corpus(ns)
     if ns.split_manifest:
-        test_idx = read_manifest(ns.split_manifest, len(slots))[2]
-    else:
-        test_idx = list(range(len(slots)))
-    if not test_idx:
+        rows = [rows[i] for i in read_manifest(ns.split_manifest, len(rows))[2]]
+    if not rows:
         raise DataError("empty test set")
-    check_symbols([forms[i] for i in test_idx], alphabet)
-    items = [(tuple(slots[i]), forms[i]) for i in test_idx]
+    check_symbols([r.form for r in rows], alphabet)
+    items = [(r.morphemes, r.form) for r in rows]
     rep = evaluate(variant, params, alphabet, vocab, items, ns.max_len)
 
     name = ns.run_name or os.path.splitext(os.path.basename(ns.data or ns.weighted_data))[0]
@@ -331,32 +333,25 @@ def cmd_resample(ns) -> None:
     if not ns.weighted_data:
         raise ConfigError("resample needs --weighted-data")
     rows = parse_weighted_tsv(ns.weighted_data)
-    slots = [r.morphemes for r in rows]
-    forms = [r.form for r in rows]
-    counts = [r.count for r in rows]
-    pool_idx, dev_idx, test_idx, _ = resolve_split(ns, slots)
+    pool_idx, dev_idx, test_idx, _ = resolve_split(ns, rows)
     sizes = parse_int_list(ns.sizes, "sizes")
     for k in sizes:
         if k > len(pool_idx):
             raise ConfigError(f"size {k} exceeds the sampling pool of {len(pool_idx)}")
     variants = parse_variants(ns.variants)
 
-    alphabet, vocab = build_vocab(forms, slots)
-    pool = [WeightedForm(forms[i], tuple(slots[i]), counts[i]) for i in pool_idx]
-    dev_entries = entries_for(dev_idx, slots, forms, counts, alphabet, vocab)
-    test_items = [(tuple(slots[i]), forms[i]) for i in test_idx]
+    alphabet, vocab = build_vocab([r.form for r in rows], [r.morphemes for r in rows])
+    pool = [rows[i] for i in pool_idx]
+    dev_entries = encode_rows([rows[i] for i in dev_idx], alphabet, vocab)
+    test_items = [(rows[i].morphemes, rows[i].form) for i in test_idx]
 
     lines = ["k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"]
     for variant in variants:
         def protocol(k, sub_seed, variant=variant):
             chosen = sample_training_set(pool, k, np.random.default_rng(sub_seed))
-            train_entries = [encode_entry(alphabet, vocab, w.morphemes, w.form, w.count)
-                             for w in chosen]
-            config = TrainConfig(
-                variant=variant, d=ns.dim, dropout=ns.dropout, lr=ns.lr,
-                min_lr=ns.min_lr, patience=ns.patience, batch_size=ns.batch_size,
-                max_epochs=ns.epochs, seed=sub_seed)
-            params, _ = train(config, train_entries, dev_entries, alphabet, vocab)
+            params, _ = train(train_config(ns, variant, sub_seed),
+                              encode_rows(chosen, alphabet, vocab), dev_entries,
+                              alphabet, vocab)
             return evaluate(variant, params, alphabet, vocab, test_items, ns.max_len)
 
         points = resample_eval(protocol, sizes, ns.resamples, ns.seed)

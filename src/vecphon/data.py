@@ -1,11 +1,13 @@
-"""Corpus ingestion, morpheme decomposition, splitting, subsampling.
+"""Corpus ingestion, splitting, subsampling.
 
-Two input formats:
+Both input formats parse to one row type, ``WeightedForm(form,
+morphemes, count)``:
 
   - paradigm TSV: lemma <TAB> inflected form <TAB> feature bundle, one
-    row per paradigm slot. A word decomposes into exactly two abstract
-    morphemes, one keyed by the lemma and one by the full feature-bundle
-    string (the bundle is atomic: no per-tag split, no tag reordering).
+    row per paradigm slot, each with count 1. A word has exactly two
+    abstract morphemes, one keyed by the lemma and one by the full
+    feature-bundle string (the bundle is atomic: no per-tag split, no tag
+    reordering, so bundles differing only in tag order stay distinct).
   - weighted TSV: form <TAB> stem key <TAB> affix key or "∅" <TAB> count,
     for corpora where training sets are drawn by token frequency.
 
@@ -30,16 +32,9 @@ NO_AFFIX = "∅"
 
 
 @dataclass(frozen=True)
-class RawParadigmRow:
-    lemma: str
-    form: str
-    features: str
-
-
-@dataclass(frozen=True)
 class WeightedForm:
     form: str
-    morphemes: tuple[str, ...]  # length 1 (bare stem) or 2 (stem + affix)
+    morphemes: tuple[str, ...]  # (stem,), (stem, affix) or (lemma, feature bundle)
     count: int
 
 
@@ -53,9 +48,10 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_frac, self.dev_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
+        # written so that NaN fails both checks
+        if any(not f > 0 for f in fracs):
             raise ConfigError(f"split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
+        if not abs(sum(fracs) - 1.0) <= 1e-9:
             raise ConfigError(f"split fractions must sum to 1, got {fracs}")
 
 
@@ -75,10 +71,11 @@ def _read_lines(path) -> list[str]:
     return text.replace("\r\n", "\n").split("\n")
 
 
-def parse_unimorph_tsv(path) -> list[RawParadigmRow]:
-    """Three-column paradigm rows; duplicates of (lemma, features) keep
-    the first occurrence."""
-    rows: list[RawParadigmRow] = []
+def parse_unimorph_tsv(path) -> list[WeightedForm]:
+    """Three-column paradigm rows as ``WeightedForm(form, (lemma,
+    features), 1)``; duplicates of (lemma, features) keep the first
+    occurrence."""
+    rows: list[WeightedForm] = []
     seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
@@ -93,17 +90,10 @@ def parse_unimorph_tsv(path) -> list[RawParadigmRow]:
         if key in seen:
             continue
         seen.add(key)
-        rows.append(RawParadigmRow(lemma, form, features))
+        rows.append(WeightedForm(form, key, 1))
     if not rows:
         raise DataError(f"{path}: no usable rows")
     return rows
-
-
-def decompose(row: RawParadigmRow) -> tuple[str, str]:
-    """A paradigm slot's abstract morphemes: lemma key, then the whole
-    feature bundle as one key. Bundles differing only in tag order stay
-    distinct on purpose."""
-    return (row.lemma, row.features)
 
 
 def parse_weighted_tsv(path) -> list[WeightedForm]:

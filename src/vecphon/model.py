@@ -263,14 +263,14 @@ class WordPass:
     means noise pinned to zero (the distribution mean), which is the
     evaluation-time convention. The position-independent variant draws
     one vector for the word, the position-dependent variant one per step,
-    and the joint variant none. With dropout on, ``drop_rng`` supplies the
-    masks: one row per morpheme, then one per step.
+    and the joint variant none. Dropout is on iff ``dropout > 0``; then
+    ``drop_rng`` supplies the masks: one row per morpheme, then one per
+    step. Training is the only caller that turns it on.
     """
 
     def __init__(self, variant: Variant, entry: LexiconEntry, params: ModelParams,
                  alphabet: Alphabet, *,
-                 eps: Callable[[], np.ndarray] | None = None,
-                 training: bool = False, dropout: float = 0.0,
+                 eps: Callable[[], np.ndarray] | None = None, dropout: float = 0.0,
                  drop_rng: np.random.Generator | None = None):
         if len(entry.morphemes) == 0:
             raise DataError("a word needs at least one morpheme")
@@ -284,7 +284,7 @@ class WordPass:
         self.m_rows = params.morph_emb[self.morphemes]
         self.x = params.char_emb[self.inputs]
         self.masks = None
-        if training and dropout > 0.0:
+        if dropout > 0.0:
             self.masks = dropout_masks(drop_rng, dropout, (k + T, d))
             self.m_rows *= self.masks[:k]
             self.x *= self.masks[k:]

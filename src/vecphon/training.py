@@ -20,7 +20,6 @@ as whole-buffer operations.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +67,6 @@ class EpochRecord:
     train_loss: float
     dev_loss: float
     lr: float
-    wall_time: float
 
 
 @dataclass
@@ -79,8 +77,8 @@ class TrainLog:
     stop_reason: str = ""
 
     def format_lines(self) -> list[str]:
-        """Stable text form: one record per line, wall time excluded so
-        identical runs serialize bitwise identically."""
+        """Stable text form: one record per line, so identical runs
+        serialize bitwise identically."""
         lines = ["# epoch\ttrain_loss\tdev_loss\tlr"]
         for r in self.records:
             lines.append(f"{r.epoch}\t{r.train_loss:.17g}\t{r.dev_loss:.17g}\t{r.lr:.17g}")
@@ -122,7 +120,7 @@ class PlateauSchedule:
 
 def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
                    alphabet: Alphabet, rng: np.random.Generator | None, *,
-                   training: bool = False, dropout: float = 0.0,
+                   dropout: float = 0.0,
                    drop_rng: np.random.Generator | None = None,
                    grads: ModelParams | None = None) -> np.float64:
     """Negative log-likelihood at one underlying-form sample.
@@ -137,7 +135,7 @@ def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
         d = params.d
         eps = lambda: rng.standard_normal(d)
     word = WordPass(variant, entry, params, alphabet, eps=eps,
-                    training=training, dropout=dropout, drop_rng=drop_rng)
+                    dropout=dropout, drop_rng=drop_rng)
     if grads is not None:
         word.nll_backward(grads)
     return -word.logprob
@@ -179,7 +177,6 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
     n = len(train_entries)
 
     for epoch in range(1, config.max_epochs + 1):
-        t0 = time.perf_counter()
         lr_in_effect = schedule.lr
         order = order_rng.permutation(n)
         loss_sum = 0.0
@@ -189,8 +186,7 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
                 for entry in batch:
                     loss_sum += float(elbo_word_loss(
                         config.variant, entry, params, alphabet, noise_rng,
-                        training=True, dropout=config.dropout,
-                        drop_rng=drop_rng, grads=grads))
+                        dropout=config.dropout, drop_rng=drop_rng, grads=grads))
                 if len(batch) > 1:
                     grads.flat /= len(batch)
                 clip_global_norm(grads.flat, GRAD_NORM_CAP)
@@ -204,8 +200,7 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
         if not (np.isfinite(train_loss) and np.isfinite(dev_loss)):
             raise TrainingError(f"non-finite loss at epoch {epoch}")
 
-        log.records.append(EpochRecord(epoch, train_loss, dev_loss,
-                                       lr_in_effect, time.perf_counter() - t0))
+        log.records.append(EpochRecord(epoch, train_loss, dev_loss, lr_in_effect))
         verdict = schedule.update(dev_loss)
         if verdict == "improved":
             # the snapshot at checkpoint (f32) precision, scored where it lies

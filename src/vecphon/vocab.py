@@ -1,19 +1,21 @@
 """Symbol and morpheme inventories.
 
 An Alphabet maps surface symbols (single characters) to contiguous
-indices and reserves three bookkeeping symbols past the surface range:
-BOS (fed to the decoder before the first character), EOS (the stopping
-symbol in the output distribution), and PAD. Reserved indices live above
-the surface range, so no data string can ever contain them.
+indices. Past the surface range it places BOS, fed to the decoder before
+the first character, and EOS, the stopping symbol of the output
+distribution. Reserved indices live above the surface range, so no data
+string can ever contain them.
 
 Index conventions used everywhere else:
-  - character-embedding table rows: 0..n-1 surface, n BOS, n+1 EOS, n+2 PAD;
+  - character-embedding table rows: 0..n-1 surface, n BOS; rows n+1 and
+    n+2 are reserved and never read (they keep the checkpoint layout and
+    the initialization stream unchanged);
   - output distribution entries:    0..n-1 surface, n EOS.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataError, VocabularyError
@@ -47,14 +49,6 @@ class Alphabet:
     @property
     def bos_id(self) -> int:
         return self.size
-
-    @property
-    def eos_id(self) -> int:
-        return self.size + 1
-
-    @property
-    def pad_id(self) -> int:
-        return self.size + 2
 
     @property
     def table_size(self) -> int:
@@ -130,25 +124,20 @@ class MorphemeVocab:
 
 @dataclass(frozen=True)
 class LexiconEntry:
-    """One word: its abstract-morpheme indices, its encoded surface form,
-    and an optional token count (1 for unweighted corpora)."""
+    """One word: its abstract-morpheme indices and its encoded surface form."""
 
     morphemes: tuple[int, ...]
     form: tuple[int, ...]
-    count: int = 1
 
 
 def encode_entry(alphabet: Alphabet, vocab: MorphemeVocab,
-                 morphemes: Sequence[str], surface: str, count: int = 1) -> LexiconEntry:
+                 morphemes: Sequence[str], surface: str) -> LexiconEntry:
     """Validating constructor: everything in-vocabulary, surface nonempty."""
     if not morphemes:
         raise DataError(f"word {surface!r} has no morphemes")
     if not surface:
         raise DataError(f"empty surface form for morphemes {tuple(morphemes)}")
-    if count < 0:
-        raise DataError(f"negative token count for {surface!r}")
     return LexiconEntry(
         morphemes=tuple(vocab.index(m) for m in morphemes),
         form=alphabet.encode(surface),
-        count=count,
     )

@@ -228,7 +228,7 @@ def test_criterion_5_learning_curve():
 
     def protocol(k, sub_seed):
         chosen = sample_training_set(pool, k, np.random.default_rng(sub_seed))
-        train_e = [encode_entry(alphabet, vocab, w.morphemes, w.form, w.count)
+        train_e = [encode_entry(alphabet, vocab, w.morphemes, w.form)
                    for w in chosen]
         config = TrainConfig(variant=Variant.POS_INDEPENDENT, d=24,
                              max_epochs=35, patience=2, seed=sub_seed)

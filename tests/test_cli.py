@@ -279,6 +279,9 @@ def test_exit_codes(tmp_path, capsys):
         (["resample", "--weighted-data", str(wdata), "--variants", "bogus",
           "--sizes", "4", "--out-dir", x], 2),
         (["train", "--data", data, "--out-dir", x, "--dim", "0"], 2),
+        (train + ["--split-fracs", "0.8,nan,0.1"], 2, "split fractions"),
+        (train + ["--split-fracs", "nan,0.1,0.1"], 2, "split fractions"),
+        (train + ["--split-fracs", "0.8,inf,0.1"], 2, "split fractions"),
         (["train", "--config", str(bad_coverage), "--data", data, "--out-dir", x], 2),
         (["predict", "--config", str(bad_gold), "--checkpoint", ckpt,
           "--morphemes", "a+b", "--out-dir", x], 2),
@@ -366,6 +369,29 @@ def test_config_echo_lists_every_option_of_the_subcommand(tmp_path):
         assert lines[0] == f"command={command}"
         keys = [line.split("=", 1)[0] for line in lines[1:]]
         assert sorted(keys) == sorted(option_actions(subcommands[command])), command
+
+
+def test_config_echo_replays_the_run(tmp_path):
+    # train leaves sample-k, split-manifest and weighted-data unset,
+    # evaluate leaves run-name and weighted-data unset
+    data, out = train_toy(tmp_path)
+    ev = str(tmp_path / "ev")
+    assert main(["evaluate", "--checkpoint", os.path.join(out, "checkpoint.vpck"),
+                 "--data", data, "--split-manifest", os.path.join(out, "split"),
+                 "--max-len", "12", "--out-dir", ev]) == 0
+    for command, first, names in (
+            ("train", out, ["checkpoint.vpck", "trainlog.tsv", "split/train.idx",
+                            "split/dev.idx", "split/test.idx", "split/seed.txt"]),
+            ("evaluate", ev, ["report.json"])):
+        again = first + "-replay"
+        assert main([command, "--config", os.path.join(first, "config.txt"),
+                     "--out-dir", again]) == 0, command
+        for name in names:
+            a, b = (open(os.path.join(d, name), "rb").read() for d in (first, again))
+            assert a == b, (command, name)
+        echoes = [[line for line in open(os.path.join(d, "config.txt")).read().splitlines()
+                   if not line.startswith("out-dir=")] for d in (first, again)]
+        assert echoes[0] == echoes[1], command
 
 
 def test_checkpoint_from_config_file_matches_the_flag(tmp_path, capsys):

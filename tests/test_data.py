@@ -7,9 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
-from vecphon.data import (NO_AFFIX, RawParadigmRow, SplitSpec, WeightedForm,
-                          build_vocab, decompose, parse_unimorph_tsv,
-                          parse_weighted_tsv, read_split_manifest,
+from vecphon.data import (NO_AFFIX, SplitSpec, WeightedForm, build_vocab,
+                          parse_unimorph_tsv, parse_weighted_tsv, read_split_manifest,
                           sample_training_set, split_paradigms,
                           write_split_manifest)
 from vecphon.errors import ConfigError, DataError, ParseError, SplitError
@@ -26,14 +25,14 @@ def write(path, text):
 def test_parse_unimorph_basic(tmp_path):
     p = write(tmp_path / "u.tsv", "run\tran\tV;PST\nrun\truns\tV;3;SG;PRS\n")
     rows = parse_unimorph_tsv(p)
-    assert rows[0] == RawParadigmRow("run", "ran", "V;PST")
+    assert rows[0] == WeightedForm("ran", ("run", "V;PST"), 1)
     assert len(rows) == 2
 
 
 def test_parse_unimorph_crlf_and_blank_lines(tmp_path):
     p = write(tmp_path / "u.tsv", "run\tran\tV;PST\r\n\r\nsee\tsaw\tV;PST\r\n")
     rows = parse_unimorph_tsv(p)
-    assert [r.lemma for r in rows] == ["run", "see"]
+    assert [r.morphemes[0] for r in rows] == ["run", "see"]
 
 
 def test_parse_unimorph_dedup_keeps_first(tmp_path):
@@ -58,12 +57,13 @@ def test_parse_unimorph_errors(tmp_path):
         parse_unimorph_tsv(tmp_path / "d.tsv")
 
 
-def test_decompose():
-    row = RawParadigmRow("run", "ran", "V;PST")
-    assert decompose(row) == ("run", "V;PST")
+def test_parse_unimorph_bundle_is_one_morpheme(tmp_path):
+    p = write(tmp_path / "u.tsv", "run\tran\tV;PST\nsee\tsaw\tV;PST\nx\ty\tPST;V\n")
+    run, see, x = parse_unimorph_tsv(p)
+    assert run.morphemes == ("run", "V;PST")
     # shared bundles across lemmas give the same key; tag order matters
-    assert decompose(RawParadigmRow("see", "saw", "V;PST"))[1] == "V;PST"
-    assert decompose(RawParadigmRow("x", "y", "PST;V"))[1] != "V;PST"
+    assert see.morphemes[1] == "V;PST"
+    assert x.morphemes[1] != "V;PST"
 
 
 def test_parse_weighted(tmp_path):
@@ -215,6 +215,11 @@ def test_split_spec_validation():
         SplitSpec(train_frac=0.9, dev_frac=0.2, test_frac=0.1)
     with pytest.raises(ConfigError):
         SplitSpec(train_frac=1.0, dev_frac=-0.1, test_frac=0.1)
+    # NaN compares false both ways; inf breaks the sum
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for fracs in ((0.8, bad, 0.1), (bad, 0.1, 0.1)):
+            with pytest.raises(ConfigError):
+                SplitSpec(*fracs)
 
 
 # ---------------------------------------------------------------------------

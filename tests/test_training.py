@@ -168,7 +168,7 @@ def test_batch_step_uses_mean_of_per_word_gradients(tiny_harmony, monkeypatch):
         for i in derive_rng(cfg.seed, "order").permutation(len(words)):
             grads.append(params.like())
             elbo_word_loss(variant, words[i], params, alphabet, noise_rng,
-                           training=True, grads=grads[-1])
+                           grads=grads[-1])
         mean = (grads[0].flat + grads[1].flat) / 2.0
         clip_global_norm(mean, tr.GRAD_NORM_CAP)
         opt = Adam(params.flat, mean, lr=cfg.lr)

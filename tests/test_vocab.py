@@ -12,7 +12,7 @@ def test_alphabet_sorted_and_reserved_layout():
     a = Alphabet.from_corpus(["ban", "cab"])
     assert a.symbols == ("a", "b", "c", "n")
     assert a.size == 4
-    assert (a.bos_id, a.eos_id, a.pad_id) == (4, 5, 6)
+    assert a.bos_id == 4
     assert a.table_size == 7
     assert a.out_size == 5 and a.eos_out == 4
 
@@ -55,12 +55,10 @@ def test_encode_entry_validates():
     a = Alphabet.from_corpus(["ran"])
     v = MorphemeVocab(["run", "V;PST"])
     e = encode_entry(a, v, ["run", "V;PST"], "ran")
-    assert e == LexiconEntry(morphemes=(1, 0), form=a.encode("ran"), count=1)
+    assert e == LexiconEntry(morphemes=(1, 0), form=a.encode("ran"))
     with pytest.raises(DataError):
         encode_entry(a, v, [], "ran")
     with pytest.raises(DataError):
         encode_entry(a, v, ["run"], "")
-    with pytest.raises(DataError):
-        encode_entry(a, v, ["run"], "ran", count=-1)
     with pytest.raises(VocabularyError):
         encode_entry(a, v, ["jog"], "ran")
