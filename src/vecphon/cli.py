@@ -13,6 +13,7 @@ problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,8 +27,8 @@ from .data import (SplitSpec, _read_lines, build_vocab, parse_unimorph_tsv,
                    split_paradigms, write_split_manifest)
 from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
 from .errors import CompatibilityError, ConfigError, DataError, VecphonError
-from .evaluation import EvalReport, evaluate, resample_eval, surprisal
-from .model import Variant, greedy_decode
+from .evaluation import EvalReport, evaluate, predict, resample_eval
+from .model import Variant
 from .seeds import derive_rng, derive_seed
 from .training import TrainConfig, train
 from .vocab import encode_entry
@@ -138,18 +139,9 @@ def load_corpus(ns):
     raise ConfigError("a corpus is required: --data or --weighted-data")
 
 
-def read_manifest(path, n):
-    """A split manifest whose every index names one of n corpus rows."""
-    train_idx, dev_idx, test_idx, seed = read_split_manifest(path)
-    for i in train_idx + dev_idx + test_idx:
-        if not 0 <= i < n:
-            raise DataError(f"split manifest index {i} out of range for {n} rows")
-    return train_idx, dev_idx, test_idx, seed
-
-
 def resolve_split(ns, rows):
     if ns.split_manifest:
-        return read_manifest(ns.split_manifest, len(rows))
+        return read_split_manifest(ns.split_manifest, len(rows))
     fracs = parse_fracs(ns.split_fracs)
     split_seed = derive_seed(ns.seed, "split")
     spec = SplitSpec(train_frac=fracs[0], dev_frac=fracs[1], test_frac=fracs[2],
@@ -186,9 +178,6 @@ def cmd_train(ns) -> None:
 
     train_rows = [rows[i] for i in train_idx]
     if ns.sample_k is not None:
-        if ns.sample_k > len(train_rows):
-            raise ConfigError(f"--sample-k {ns.sample_k} exceeds the "
-                              f"{len(train_rows)} training rows")
         train_rows = sample_training_set(train_rows, ns.sample_k,
                                          derive_rng(ns.seed, "sample"))
     train_entries = encode_rows(train_rows, alphabet, vocab)
@@ -244,23 +233,18 @@ def load_model(ns):
 def cmd_predict(ns) -> None:
     check_max_len(ns)
     params, variant, alphabet, vocab = load_model(ns)
-    requests = read_prediction_requests(ns)
+    records = predict(variant, params, alphabet, vocab, read_prediction_requests(ns),
+                      ns.max_len)
     out_lines = []
-    for morphemes, gold in requests:
-        unknown = [m for m in morphemes if m not in vocab]
-        if unknown:
-            out_lines.append("UNK-MORPHEME\t" + "+".join(unknown))
-            continue
-        ids = [vocab.index(m) for m in morphemes]
-        pred = alphabet.decode(greedy_decode(variant, ids, params, alphabet, ns.max_len))
-        fields = [pred]
-        if gold is not None:
-            try:
-                entry = encode_entry(alphabet, vocab, morphemes, gold)
-                fields.append(f"{surprisal(variant, entry, params, alphabet):.6f}")
-            except VecphonError:
-                fields.append("GOLD-NOT-ENCODABLE")
-        out_lines.append("\t".join(fields))
+    for r in records:
+        if r.unknown:
+            out_lines.append("UNK-MORPHEME\t" + "+".join(m for m in r.morphemes if m not in vocab))
+        elif r.gold is None:
+            out_lines.append(r.predicted)
+        elif r.surprisal is None:
+            out_lines.append(f"{r.predicted}\tGOLD-NOT-ENCODABLE")
+        else:
+            out_lines.append(f"{r.predicted}\t{r.surprisal:.6f}")
     text = "\n".join(out_lines)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as f:
@@ -281,9 +265,7 @@ def cmd_evaluate(ns) -> None:
     params, variant, alphabet, vocab = load_model(ns)
     rows = load_corpus(ns)
     if ns.split_manifest:
-        rows = [rows[i] for i in read_manifest(ns.split_manifest, len(rows))[2]]
-    if not rows:
-        raise DataError("empty test set")
+        rows = [rows[i] for i in read_split_manifest(ns.split_manifest, len(rows))[2]]
     check_symbols([r.form for r in rows], alphabet)
     items = [(r.morphemes, r.form) for r in rows]
     rep = evaluate(variant, params, alphabet, vocab, items, ns.max_len)
@@ -293,22 +275,9 @@ def cmd_evaluate(ns) -> None:
     print(table)
     with open(os.path.join(ns.out_dir, "report.txt"), "w", encoding="utf-8") as f:
         f.write(table + "\n")
-    payload = {
-        "run": name,
-        "variant": variant.value,
-        "conventions": "surprisal counts EOS in both the sum and the length",
-        "accuracy": rep.accuracy,
-        "mean_levenshtein": rep.mean_levenshtein,
-        "mean_surprisal": rep.mean_surprisal,
-        "n_items": rep.n_items,
-        "n_unknown": rep.n_unknown,
-        "items": [
-            {"morphemes": list(r.morphemes), "gold": r.gold, "predicted": r.predicted,
-             "edit_distance": r.edit_distance, "surprisal": r.surprisal,
-             "unknown": r.unknown}
-            for r in rep.records
-        ],
-    }
+    payload = {"run": name, "variant": variant.value,
+               "conventions": "surprisal counts EOS in both the sum and the length",
+               **dataclasses.asdict(rep)}
     with open(os.path.join(ns.out_dir, "report.json"), "w", encoding="utf-8") as f:
         json.dump(payload, f, ensure_ascii=False, indent=1)
 
@@ -336,8 +305,8 @@ def cmd_resample(ns) -> None:
     pool_idx, dev_idx, test_idx, _ = resolve_split(ns, rows)
     sizes = parse_int_list(ns.sizes, "sizes")
     for k in sizes:
-        if k > len(pool_idx):
-            raise ConfigError(f"size {k} exceeds the sampling pool of {len(pool_idx)}")
+        if not 1 <= k <= len(pool_idx):
+            raise ConfigError(f"size {k} is outside 1..{len(pool_idx)}, the sampling pool")
     variants = parse_variants(ns.variants)
 
     alphabet, vocab = build_vocab([r.form for r in rows], [r.morphemes for r in rows])
@@ -483,15 +452,10 @@ def main(argv=None) -> int:
     parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = None
-        for i, tok in enumerate(argv):
-            if tok == "--config" and i + 1 < len(argv):
-                config_path = argv[i + 1]
-            elif tok.startswith("--config="):
-                config_path = tok.split("=", 1)[1]
-        if config_path:
-            apply_config_file(config_path, subcommands)
         ns = parser.parse_args(argv)
+        if ns.config:
+            apply_config_file(ns.config, subcommands)
+            ns = parser.parse_args(argv)
         os.makedirs(ns.out_dir, exist_ok=True)
         ns.func(ns)
         echo_config(ns, subcommands[ns.command])
@@ -503,6 +467,9 @@ def main(argv=None) -> int:
         return 2
     except (VecphonError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: MemoryError: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

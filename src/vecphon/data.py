@@ -130,7 +130,7 @@ def sample_training_set(corpus: Sequence[WeightedForm], k: int,
     to the remaining items' token counts. Once every remaining count is
     zero the leftover draws are uniform."""
     n = len(corpus)
-    if k > n:
+    if not 1 <= k <= n:
         raise ConfigError(f"cannot sample {k} items from a corpus of {n}")
     counts = np.array([w.count for w in corpus], dtype=np.float64)
     if counts.sum() <= 0:
@@ -144,14 +144,9 @@ def sample_training_set(corpus: Sequence[WeightedForm], k: int,
             weights = np.ones(len(alive))
             total = float(len(alive))
         r = rng.random() * total
-        acc = 0.0
-        choice = len(alive) - 1
-        for pos, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                choice = pos
-                break
-        chosen.append(alive.pop(choice))
+        # the first item whose running total exceeds r; the last if none does
+        choice = np.searchsorted(np.cumsum(weights), r, side="right")
+        chosen.append(alive.pop(min(int(choice), len(alive) - 1)))
     return [corpus[i] for i in chosen]
 
 
@@ -231,10 +226,11 @@ def write_split_manifest(directory, train: list[int], dev: list[int],
         f.write(f"{seed}\n")
 
 
-def read_split_manifest(directory) -> tuple[list[int], list[int], list[int], int]:
-    """The split written by ``write_split_manifest``. A missing or
-    malformed file, or an index listed twice (within or across splits),
-    is a DataError naming the file."""
+def read_split_manifest(directory, n_rows: int) -> tuple[list[int], list[int], list[int], int]:
+    """The split written by ``write_split_manifest``, over a corpus of
+    ``n_rows`` rows. A missing or malformed file, an index outside the
+    corpus, or an index listed twice (within or across splits), is a
+    DataError naming the file."""
     def read_ints(name):
         path = os.path.join(directory, name)
         try:
@@ -250,6 +246,8 @@ def read_split_manifest(directory) -> tuple[list[int], list[int], list[int], int
     for name in ("train.idx", "dev.idx", "test.idx"):
         path, idx = read_ints(name)
         for i in idx:
+            if not 0 <= i < n_rows:
+                raise DataError(f"{path}: index {i} out of range for {n_rows} rows")
             if i in seen:
                 raise DataError(f"{path}: index {i} is listed more than once in the split")
             seen.add(i)

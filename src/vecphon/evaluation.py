@@ -1,11 +1,12 @@
 """Metrics and significance: exact-match accuracy, mean edit distance,
 per-symbol surprisal, resample aggregation, paired permutation test.
 
-Surprisal counts the EOS emission in both the log-probability sum and
-the length normalizer. Test items with out-of-vocabulary morphemes are
-scored as failures (no exact match, edit distance = gold length); they
-are excluded only from the surprisal mean, where no probability is
-defined, and their number is reported.
+``predict`` spells and scores; ``evaluate`` is ``predict`` plus edit
+distances and aggregation. Surprisal counts EOS in both the
+log-probability sum and the length normalizer. An item with an
+out-of-vocabulary morpheme is not decoded and scores as a failure (edit
+distance = gold length); it and a gold form that does not encode have
+no surprisal, and are left out of the surprisal mean.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, VocabularyError
 from .model import ModelParams, Variant, greedy_decode, word_logprob
 from .seeds import derive_rng, derive_seed
-from .vocab import Alphabet, LexiconEntry, MorphemeVocab
+from .vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -47,11 +48,11 @@ def surprisal(variant: Variant, entry: LexiconEntry, params: ModelParams,
 @dataclass
 class PredictionRecord:
     morphemes: tuple[str, ...]
-    gold: str
+    gold: str | None
     predicted: str
-    edit_distance: int
-    surprisal: float | None  # None when morphemes are out of vocabulary
-    unknown: bool = False
+    edit_distance: int | None  # filled in by evaluate
+    surprisal: float | None  # None without an encodable gold form
+    unknown: bool = False  # a morpheme is out of vocabulary; not decoded
 
 
 @dataclass
@@ -61,47 +62,56 @@ class EvalReport:
     mean_surprisal: float
     n_items: int
     n_unknown: int
-    records: list[PredictionRecord] = field(default_factory=list)
+    items: list[PredictionRecord] = field(default_factory=list)
+
+
+def predict(variant: Variant, params: ModelParams, alphabet: Alphabet,
+            vocab: MorphemeVocab, requests: Sequence[tuple[tuple[str, ...], str | None]],
+            max_len: int) -> list[PredictionRecord]:
+    """Spell each (morpheme identifiers, gold form or None) request by
+    greedy decoding at the noise-free mean, with the surprisal of its gold
+    form if one is given and encodes. A request with an out-of-vocabulary
+    morpheme is flagged unknown and not decoded."""
+    records = []
+    for morphemes, gold in requests:
+        morphemes = tuple(morphemes)
+        if any(m not in vocab for m in morphemes):
+            records.append(PredictionRecord(morphemes, gold, "", None, None, True))
+            continue
+        ids = [vocab.index(m) for m in morphemes]
+        pred = alphabet.decode(greedy_decode(variant, ids, params, alphabet, max_len))
+        s = None
+        if gold is not None:
+            try:
+                entry = encode_entry(alphabet, vocab, morphemes, gold)
+            except (DataError, VocabularyError):
+                pass
+            else:
+                s = surprisal(variant, entry, params, alphabet)
+        records.append(PredictionRecord(morphemes, gold, pred, None, s))
+    return records
 
 
 def evaluate(variant: Variant, params: ModelParams, alphabet: Alphabet,
              vocab: MorphemeVocab, items: Sequence[tuple[tuple[str, ...], str]],
              max_len: int) -> EvalReport:
-    """Score (morpheme identifiers, gold form) pairs with greedy decoding
-    at the noise-free mean. Pure in (params, items): repeated calls agree."""
+    """``predict`` on (morpheme identifiers, gold form) pairs, with each
+    record's edit distance filled in and the metrics aggregated. Pure in
+    (params, items): repeated calls agree."""
     if not items:
         raise DataError("empty evaluation set")
-    records = []
-    hits = 0
-    dist_sum = 0
-    surp_sum = 0.0
-    n_known = 0
-    for morphemes, gold in items:
-        morphemes = tuple(morphemes)
-        if any(m not in vocab for m in morphemes) or any(
-                c not in alphabet.symbols for c in gold):
-            records.append(PredictionRecord(morphemes, gold, "", len(gold), None, True))
-            dist_sum += len(gold)
-            continue
-        ids = [vocab.index(m) for m in morphemes]
-        pred_ids = greedy_decode(variant, ids, params, alphabet, max_len)
-        pred = alphabet.decode(pred_ids)
-        gold_entry = LexiconEntry(morphemes=tuple(ids), form=alphabet.encode(gold))
-        s = surprisal(variant, gold_entry, params, alphabet)
-        dist = levenshtein(pred, gold)
-        records.append(PredictionRecord(morphemes, gold, pred, dist, s))
-        hits += pred == gold
-        dist_sum += dist
-        surp_sum += s
-        n_known += 1
-    n = len(items)
+    records = predict(variant, params, alphabet, vocab, items, max_len)
+    for r in records:
+        r.edit_distance = len(r.gold) if r.unknown else levenshtein(r.predicted, r.gold)
+    scored = [r.surprisal for r in records if r.surprisal is not None]
+    n = len(records)
     return EvalReport(
-        accuracy=100.0 * hits / n,
-        mean_levenshtein=dist_sum / n,
-        mean_surprisal=surp_sum / n_known if n_known else float("nan"),
+        accuracy=100.0 * sum(r.predicted == r.gold for r in records) / n,
+        mean_levenshtein=sum(r.edit_distance for r in records) / n,
+        mean_surprisal=sum(scored) / len(scored) if scored else float("nan"),
         n_items=n,
-        n_unknown=n - n_known,
-        records=records,
+        n_unknown=sum(r.unknown for r in records),
+        items=records,
     )
 
 

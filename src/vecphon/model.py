@@ -96,7 +96,11 @@ class ModelParams:
         self.d = self.shapes["attn_t"][0]
         sizes = [math.prod(self.shapes[name]) for name in self.FIELD_NAMES]
         if flat is None:
-            flat = np.zeros(sum(sizes))
+            try:
+                flat = np.zeros(sum(sizes))
+            except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+                raise DataError(f"cannot allocate {sum(sizes)} model parameters "
+                                f"(d={self.d})") from None
         if flat.dtype != np.float64 or flat.shape != (sum(sizes),) or not flat.flags.c_contiguous:
             raise ShapeError(f"parameter buffer must be contiguous float64 of length "
                              f"{sum(sizes)}, got {flat.dtype} {flat.shape}")
@@ -203,14 +207,6 @@ def attention_log_weights(h: np.ndarray, m_rows: np.ndarray, attn_t: np.ndarray)
     return log_softmax((h @ attn_t) @ m_rows.T)
 
 
-def uf_pos_independent_mean(m_rows: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of the morpheme rows: the word's single UF mean."""
-    k = m_rows.shape[0]
-    if k == 0:
-        raise DataError("cannot build an underlying form from zero morphemes")
-    return np.full(k, 1.0 / k) @ m_rows
-
-
 class Emission(NamedTuple):
     """Output of ``emit`` and what the backward pass needs of it."""
     logdist: np.ndarray           # log p(next symbol), one row per decoder state
@@ -240,7 +236,7 @@ def emit(params: ModelParams, variant: Variant, h: np.ndarray, m_rows: np.ndarra
         return Emission(mix, hu, a, logp, log_alpha)
     if variant is Variant.POS_INDEPENDENT:
         log_alpha = None
-        u = uf_pos_independent_mean(m_rows)
+        u = np.full(k, 1.0 / k) @ m_rows  # the morpheme rows' arithmetic mean
     else:
         log_alpha = attention_log_weights(h, m_rows, params.attn_t)
         u = np.exp(log_alpha) @ m_rows

@@ -115,8 +115,10 @@ def test_matmul_values_by_hand():
     # h T = [1, 4] and [1, 0]; scores against the rows are [1, 4, 5] and [1, 0, 1]
     assert np.array_equal(rows[0], md.log_softmax(np.array([1.0, 4.0, 5.0])))
     assert np.array_equal(rows[1], md.log_softmax(np.array([1.0, 0.0, 1.0])))
-    assert np.array_equal(md.uf_pos_independent_mean(np.array([[1.0, 2.0], [3.0, 4.0]])),
-                          [2.0, 3.0])
+    # the pos-indep readout input is [h; the mean of the morpheme rows]
+    uf = md.emit(params, md.Variant.POS_INDEPENDENT, np.zeros(2),
+                 np.array([[1.0, 2.0], [3.0, 4.0]])).hu[2:]
+    assert np.array_equal(uf, [2.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

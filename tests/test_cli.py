@@ -135,6 +135,36 @@ def test_predict_gold_column_emits_surprisal(tmp_path):
     assert abs(float(fields[1]) - surprisal(variant, entry, params, alphabet)) < 1e-6
 
 
+def test_predict_gold_repeats_evaluate(tmp_path):
+    data, out = train_toy(tmp_path)
+    ckpt = os.path.join(out, "checkpoint.vpck")
+    rows = [line.split("\t") for line in open(data).read().splitlines()]  # lemma, form, features
+    rows.append(["nosuchstem", rows[0][1], rows[0][2]])
+    corpus = tmp_path / "with-unknown.tsv"
+    corpus.write_text("".join(f"{lemma}\t{form}\t{feats}\n" for lemma, form, feats in rows))
+    ev = tmp_path / "ev"
+    assert main(["evaluate", "--checkpoint", ckpt, "--data", str(corpus), "--max-len", "12",
+                 "--out-dir", str(ev)]) == 0
+    items = json.loads((ev / "report.json").read_text())["items"]
+    # the same rows as gold requests, then the first one with a foreign gold symbol
+    lemma, form, feats = rows[0]
+    batch = tmp_path / "gold.txt"
+    batch.write_text("".join(f"{lemma}\t{feats}\t{form}\n" for lemma, form, feats in rows)
+                     + f"{lemma}\t{feats}\t{form}\u00a7\n")
+    pred_file = tmp_path / "pred.txt"
+    assert main(["predict", "--checkpoint", ckpt, "--morphemes", f"{lemma}+{feats}",
+                 "--input", str(batch), "--gold", "--max-len", "12",
+                 "--out", str(pred_file), "--out-dir", str(tmp_path / "p")]) == 0
+    plain, *lines, foreign = pred_file.read_text().splitlines()
+    assert len(lines) == len(items) == len(rows)
+    for line, item in zip(lines[:-1], items[:-1]):
+        assert line == f"{item['predicted']}\t{item['surprisal']:.6f}"
+    assert lines[-1] == "UNK-MORPHEME\tnosuchstem" and items[-1]["unknown"]
+    assert not any(item["unknown"] for item in items[:-1])
+    assert plain == items[0]["predicted"]
+    assert foreign == f"{plain}\tGOLD-NOT-ENCODABLE"
+
+
 def test_evaluate_writes_reports(tmp_path, capsys):
     data, out = train_toy(tmp_path)
     ev = tmp_path / "ev"
@@ -265,6 +295,7 @@ def test_exit_codes(tmp_path, capsys):
         "no-seed": write_manifest(tmp_path / "m2", **{"seed.txt": None}),
         "repeated": write_manifest(tmp_path / "m3", **{"train.idx": "0\n1\n1\n"}),
         "overlap": write_manifest(tmp_path / "m4", **{"test.idx": "7\n6\n"}),
+        "out-of-range": write_manifest(tmp_path / "m5", **{"test.idx": "99\n"}),
     }
     x = str(tmp_path / "x")
     train = ["train", "--data", data, "--out-dir", x, "--dim", "8", "--epochs", "1"]
@@ -279,6 +310,11 @@ def test_exit_codes(tmp_path, capsys):
         (["resample", "--weighted-data", str(wdata), "--variants", "bogus",
           "--sizes", "4", "--out-dir", x], 2),
         (["train", "--data", data, "--out-dir", x, "--dim", "0"], 2),
+        (train + ["--dim", "1000000000"], 1, "model parameters"),   # refused before allocating
+        (train + ["--sample-k", "0"], 2, "sample 0 items"),
+        (train + ["--sample-k", "-2"], 2, "sample -2 items"),
+        (["resample", "--weighted-data", str(wdata), "--sizes", "4,0",
+          "--out-dir", x], 2, "size 0"),
         (train + ["--split-fracs", "0.8,nan,0.1"], 2, "split fractions"),
         (train + ["--split-fracs", "nan,0.1,0.1"], 2, "split fractions"),
         (train + ["--split-fracs", "0.8,inf,0.1"], 2, "split fractions"),
@@ -332,6 +368,18 @@ def test_exit_codes(tmp_path, capsys):
         assert len(errors) == (0 if code == 0 else 1), (argv, err)
         if needle:
             assert needle[0] in errors[0], (argv, err)
+
+
+def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    data, _ = write_toy(tmp_path)
+
+    def refuse(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("vecphon.training.init_params", refuse)
+    capsys.readouterr()
+    assert main(["train", "--data", data, "--dim", "8", "--out-dir", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: MemoryError: out of memory"]
 
 
 def test_train_with_sample_k(tmp_path):

@@ -97,8 +97,9 @@ def test_sample_whole_corpus_and_bounds():
     corpus = corpus_of([5, 1, 3])
     got = sample_training_set(corpus, 3, np.random.default_rng(0))
     assert sorted(w.form for w in got) == ["w0", "w1", "w2"]
-    with pytest.raises(ConfigError):
-        sample_training_set(corpus, 4, np.random.default_rng(0))
+    for k in (0, 4):
+        with pytest.raises(ConfigError):
+            sample_training_set(corpus, k, np.random.default_rng(0))
     with pytest.raises(DataError):
         sample_training_set(corpus_of([0, 0]), 1, np.random.default_rng(0))
 
@@ -158,6 +159,15 @@ def test_sample_zero_count_tail_is_uniform():
         assert picked[0].form == "w0"  # only item with mass
         seen_second.add(picked[1].form)
     assert seen_second == {"w1", "w2"}
+
+
+def test_sample_draws_pinned_for_one_seed():
+    # the forms a per-draw running-sum (roulette) loop draws for these seeds
+    corpus = corpus_of([3, 0, 5, 1, 0, 2, 7, 0, 4])
+    got = sample_training_set(corpus, 9, np.random.default_rng(11))
+    assert [w.form for w in got] == ["w0", "w6", "w5", "w2", "w3", "w8", "w1", "w4", "w7"]
+    got = sample_training_set(corpus, 4, np.random.default_rng(12))
+    assert [w.form for w in got] == ["w2", "w8", "w0", "w5"]
 
 
 def test_sample_deterministic_per_rng_state():
@@ -240,7 +250,7 @@ def test_build_vocab_covers_all_splits_and_is_order_free():
 def test_manifest_round_trip(tmp_path):
     train, dev, test = [0, 2, 4], [1], [3, 5]
     write_split_manifest(tmp_path / "split", train, dev, test, seed=77)
-    got = read_split_manifest(tmp_path / "split")
+    got = read_split_manifest(tmp_path / "split", 6)
     assert got == (train, dev, test, 77)
     with pytest.raises(DataError):
-        read_split_manifest(tmp_path / "nowhere")
+        read_split_manifest(tmp_path / "nowhere", 6)

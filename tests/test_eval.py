@@ -81,7 +81,7 @@ def test_evaluate_report_and_unknowns():
     items = [(("m0",), "ab"), (("m0", "m1"), "ba"), (("mystery",), "aaa")]
     rep = evaluate(Variant.JOINT, params, alphabet, vocab, items, max_len=6)
     assert rep.n_items == 3 and rep.n_unknown == 1
-    unk = rep.records[2]
+    unk = rep.items[2]
     assert unk.unknown and unk.predicted == "" and unk.edit_distance == 3
     assert unk.surprisal is None
     assert 0.0 <= rep.accuracy <= 100.0

@@ -10,8 +10,7 @@ from vecphon import model as md
 from vecphon.errors import DataError
 from vecphon.model import (IncrementalDecoder, Variant, WordPass,
                            attention_log_weights, emit, greedy_decode,
-                           init_params, lstm_step, readout,
-                           uf_pos_independent_mean, word_logprob)
+                           init_params, lstm_step, readout, word_logprob)
 from vecphon.vocab import Alphabet, LexiconEntry
 
 ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
@@ -149,15 +148,21 @@ def test_attention_simplex_and_temperature_sharpening():
 
 
 def test_uf_means():
+    def uf_mean(m):
+        # the pos-indep readout input is [h; u]
+        d = m.shape[1]
+        _, params, _ = tiny_setup(d=d)
+        return emit(params, Variant.POS_INDEPENDENT, np.zeros(d), m).hu[d:]
+
     rng = np.random.default_rng(8)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    mean = uf_pos_independent_mean(np.stack([e1, e2]))
+    mean = uf_mean(np.stack([e1, e2]))
     assert np.allclose(mean, [0.5, 0.5])
     row = rng.normal(size=4)
-    assert np.allclose(uf_pos_independent_mean(row[None, :]), row)
+    assert np.allclose(uf_mean(row[None, :]), row)
     same = np.stack([row, row])
-    assert np.allclose(uf_pos_independent_mean(same), row)
+    assert np.allclose(uf_mean(same), row)
 
 
 def test_uf_pos_dependent_in_convex_hull():
