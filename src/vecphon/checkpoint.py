@@ -9,6 +9,9 @@ Layout, all integers little-endian:
   | u32 tensor count  | per tensor: string name, u32 rank, u32 dims...,
                         row-major little-endian f32 payload
 
+Tensors appear in ``ModelParams.FIELD_NAMES`` order with the shapes
+``param_shapes`` gives; any other list of tensors is a CheckpointError.
+
 Strings are u32 byte length + UTF-8 bytes. Values are stored at f32;
 loading widens to f64, so write -> read -> write is bitwise stable.
 """
@@ -84,8 +87,7 @@ def save_checkpoint(path, params: ModelParams, variant: Variant,
         _write_u32(buf, arr.ndim)
         for dim in arr.shape:
             _write_u32(buf, dim)
-        payload = np.ascontiguousarray(arr, dtype="<f4")
-        buf.write(payload.tobytes())
+        buf.write(arr.astype("<f4").tobytes())
     with open(path, "wb") as f:
         f.write(buf.getvalue())
 
@@ -117,34 +119,24 @@ def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab
     vocab = MorphemeVocab(idents)
     if vocab.identifiers != tuple(idents):
         raise CheckpointError("morpheme listing is not sorted and unique")
+    shapes = param_shapes(d, n_morph, alphabet)
+    if 4 * sum(math.prod(shape) for shape in shapes.values()) > len(r.raw) - r.pos:
+        raise CheckpointError("truncated checkpoint: the header promises more parameters")
     n_tensors = r.u32("tensor count")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
-        name = r.string("tensor name")
-        rank = r.u32(f"{name} rank")
-        if rank > 4:
-            raise CheckpointError(f"implausible rank {rank} for tensor {name}")
+    if n_tensors != len(shapes):
+        raise CheckpointError(f"expected {len(shapes)} tensors, found {n_tensors}")
+    params = ModelParams(shapes)
+    for name, arr in params.named_arrays().items():
+        found, rank = r.string("tensor name"), r.u32("tensor rank")
+        if (found, rank) != (name, arr.ndim):
+            raise CheckpointError(f"expected tensor {name}, found {found} of rank {rank}")
         shape = tuple(r.u32(f"{name} dim") for _ in range(rank))
-        payload = r.exact(4 * math.prod(shape), f"{name} payload")
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        if shape != arr.shape:
+            raise CheckpointError(f"expected {name} of shape {arr.shape}, found {shape}")
+        payload = r.exact(4 * arr.size, f"{name} payload")
+        with np.errstate(invalid="ignore"):  # a signalling NaN fails check_finite
+            arr[...] = np.frombuffer(payload, dtype="<f4").reshape(arr.shape)
     if r.pos != len(r.raw):
         raise CheckpointError("trailing bytes after last tensor")
-
-    missing = [n for n in ModelParams.FIELD_NAMES if n not in tensors]
-    if missing:
-        raise CheckpointError(f"missing tensors: {', '.join(missing)}")
-    extra = [n for n in tensors if n not in ModelParams.FIELD_NAMES]
-    if extra:
-        raise CheckpointError(f"unexpected tensors: {', '.join(extra)}")
-
-    expected = param_shapes(d, n_morph, alphabet)
-    for name, shape in expected.items():
-        if tensors[name].shape != shape:
-            raise CheckpointError(f"tensor {name} has shape {tensors[name].shape}, "
-                                  f"expected {shape}")
-    params = ModelParams(expected)
-    with np.errstate(invalid="ignore"):  # a signalling NaN fails check_finite
-        for name, arr in params.named_arrays().items():
-            arr[...] = tensors[name]
     params.check_finite()
     return params, variant, alphabet, vocab

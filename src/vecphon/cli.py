@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import (SplitSpec, _read_lines, build_vocab, parse_unimorph_tsv,
-                   parse_weighted_tsv, read_split_manifest, sample_training_set,
+from .data import (SplitSpec, build_vocab, parse_unimorph_tsv, parse_weighted_tsv,
+                   read_lines, read_split_manifest, sample_training_set,
                    split_paradigms, write_split_manifest)
 from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
 from .errors import CompatibilityError, ConfigError, DataError, VecphonError
@@ -59,7 +59,7 @@ def apply_config_file(path, subcommands) -> None:
     sets nothing, and a command= line naming a subcommand is skipped, so
     a config.txt echo reads back as the run that wrote it."""
     try:
-        lines = _read_lines(path)
+        lines = read_lines(path)
     except (DataError, OSError) as e:
         raise ConfigError(str(e)) from None
     tables = [(p, options(p)) for p in subcommands.values()]
@@ -202,7 +202,7 @@ def read_prediction_requests(ns):
     requests = []
     if ns.morphemes:
         requests.append((tuple(ns.morphemes.split("+")), None))
-    for line in _read_lines(ns.input) if ns.input else ():
+    for line in read_lines(ns.input) if ns.input else ():
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -457,7 +457,8 @@ def main(argv=None) -> int:
             apply_config_file(ns.config, subcommands)
             ns = parser.parse_args(argv)
         os.makedirs(ns.out_dir, exist_ok=True)
-        ns.func(ns)
+        with np.errstate(all="ignore"):  # non-finite results are checked explicitly
+            ns.func(ns)
         echo_config(ns, subcommands[ns.command])
         return 0
     except SystemExit as e:

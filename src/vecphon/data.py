@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,56 +58,53 @@ class SplitSpec:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _read_lines(path) -> list[str]:
+def read_lines(path) -> list[str]:
+    """A UTF-8 text file's lines; a missing or undecodable file is a DataError."""
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError as e:
         lineno = raw.count(b"\n", 0, e.start) + 1
         raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
-    return text.replace("\r\n", "\n").split("\n")
+
+
+def _tsv_rows(path, n_cols: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, stripped fields) of each nonblank row, which must have
+    ``n_cols`` tab-separated columns and three nonempty leading fields."""
+    empty = True
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != n_cols:
+            raise ParseError(f"{path}:{lineno}: expected {n_cols} tab-separated columns, "
+                             f"got {len(cols)}")
+        fields = [c.strip() for c in cols]
+        if not all(fields[:3]):
+            raise ParseError(f"{path}:{lineno}: empty field")
+        empty = False
+        yield lineno, fields
+    if empty:
+        raise DataError(f"{path}: no usable rows")
 
 
 def parse_unimorph_tsv(path) -> list[WeightedForm]:
     """Three-column paradigm rows as ``WeightedForm(form, (lemma,
     features), 1)``; duplicates of (lemma, features) keep the first
     occurrence."""
-    rows: list[WeightedForm] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(cols)}")
-        lemma, form, features = (c.strip() for c in cols)
-        if not (lemma and form and features):
-            raise ParseError(f"{path}:{lineno}: empty field")
-        key = (lemma, features)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(WeightedForm(form, key, 1))
-    if not rows:
-        raise DataError(f"{path}: no usable rows")
-    return rows
+    rows: dict[tuple[str, str], WeightedForm] = {}
+    for _, (lemma, form, features) in _tsv_rows(path, 3):
+        rows.setdefault((lemma, features), WeightedForm(form, (lemma, features), 1))
+    return list(rows.values())
 
 
 def parse_weighted_tsv(path) -> list[WeightedForm]:
     """Four-column weighted rows; affix "∅" means a bare one-morpheme word."""
     out: list[WeightedForm] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise ParseError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(cols)}")
-        form, stem, affix, count_s = (c.strip() for c in cols)
-        if not (form and stem and affix):
-            raise ParseError(f"{path}:{lineno}: empty field")
+    for lineno, (form, stem, affix, count_s) in _tsv_rows(path, 4):
         try:
             count = int(count_s)
         except ValueError:
@@ -116,8 +113,6 @@ def parse_weighted_tsv(path) -> list[WeightedForm]:
             raise ParseError(f"{path}:{lineno}: negative count {count}")
         morphemes = (stem,) if affix == NO_AFFIX else (stem, affix)
         out.append(WeightedForm(form, morphemes, count))
-    if not out:
-        raise DataError(f"{path}: no usable rows")
     return out
 
 
@@ -206,7 +201,6 @@ def build_vocab(forms: Iterable[str],
                 morpheme_seqs: Iterable[tuple[str, ...]]) -> tuple[Alphabet, MorphemeVocab]:
     """Inventories over the whole corpus (all splits), sorted, so held-out
     forms stay representable and construction is order-independent."""
-    forms = list(forms)
     alphabet = Alphabet.from_corpus(forms)
     vocab = MorphemeVocab(m for seq in morpheme_seqs for m in seq)
     return alphabet, vocab
@@ -219,11 +213,10 @@ def write_split_manifest(directory, train: list[int], dev: list[int],
                          test: list[int], seed: int) -> None:
     """Three index files plus the seed, enough to reproduce a split exactly."""
     os.makedirs(directory, exist_ok=True)
-    for name, idx in (("train.idx", train), ("dev.idx", dev), ("test.idx", test)):
+    files = {"train.idx": train, "dev.idx": dev, "test.idx": test, "seed.txt": [seed]}
+    for name, values in files.items():
         with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
-            f.write("\n".join(str(i) for i in idx) + ("\n" if idx else ""))
-    with open(os.path.join(directory, "seed.txt"), "w", encoding="utf-8") as f:
-        f.write(f"{seed}\n")
+            f.write("\n".join(str(i) for i in values) + ("\n" if values else ""))
 
 
 def read_split_manifest(directory, n_rows: int) -> tuple[list[int], list[int], list[int], int]:
@@ -234,10 +227,7 @@ def read_split_manifest(directory, n_rows: int) -> tuple[list[int], list[int], l
     def read_ints(name):
         path = os.path.join(directory, name)
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                return path, [int(tok) for tok in f.read().split()]
-        except OSError as e:
-            raise DataError(f"cannot read split manifest file {path}: {e.strerror}") from None
+            return path, [int(tok) for line in read_lines(path) for tok in line.split()]
         except ValueError:
             raise DataError(f"{path}: expected one integer per line") from None
 

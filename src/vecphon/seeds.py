@@ -11,9 +11,13 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def derive_seed(master: int, label: str) -> int:
     """Derive a stable sub-seed from a master seed and a purpose label."""
+    if master < 0:
+        raise ConfigError(f"seed must be >= 0, got {master}")
     tag = zlib.crc32(label.encode("utf-8"))
     # SeedSequence mixes the entropy words; generate_state collapses to one word.
     return int(np.random.SeedSequence([master, tag]).generate_state(1)[0])

@@ -202,16 +202,18 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
 
         log.records.append(EpochRecord(epoch, train_loss, dev_loss, lr_in_effect))
         verdict = schedule.update(dev_loss)
-        if verdict == "improved":
-            # the snapshot at checkpoint (f32) precision, scored where it lies
+        if verdict == "improved":  # the snapshot at checkpoint (f32) precision
             np.copyto(best.flat, params.flat.astype(np.float32))
-            log.best_dev_loss = mean_dev_loss(config.variant, dev_entries, best, alphabet)
             log.best_epoch = epoch
         if verdict == "stop":
             log.stop_reason = "lr-floor"
             break
     else:
         log.stop_reason = "max-epochs"
+    try:  # scored once, at the f32 values a checkpoint holds
+        log.best_dev_loss = mean_dev_loss(config.variant, dev_entries, best, alphabet)
+    except NumericError as e:
+        raise TrainingError(f"f32 snapshot of best epoch {log.best_epoch}: {e}") from e
 
     np.copyto(params.flat, best.flat)
     return params, log

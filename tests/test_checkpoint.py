@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,36 @@ def test_corruption_detected(tmp_path):
     bad_version.write_bytes(raw[:4] + (99).to_bytes(4, "little") + raw[8:])
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad_version)
+
+
+def test_tensor_list_must_follow_param_shapes(tmp_path):
+    """The tensors must be the fields, in order, at their shapes; the
+    header's sizes must fit the bytes that follow."""
+    params, alphabet, vocab = setup(seed=5)
+    named = params.named_arrays()
+    listings = {
+        "swapped": {k: named[k] for k in ("morph_emb", "char_emb", "lstm_wh", "lstm_wx",
+                                         "lstm_b", "readout_w", "readout_v", "attn_t")},
+        "renamed": {("attn_x" if k == "attn_t" else k): a for k, a in named.items()},
+        "extra-dim": {**named, "lstm_b": named["lstm_b"][:, None]},
+    }
+    for label, listing in listings.items():
+        path = tmp_path / f"{label}.vpck"
+        # the writer lists whatever named_arrays returns
+        save_checkpoint(path, SimpleNamespace(d=params.d, named_arrays=lambda: listing),
+                        Variant.JOINT, alphabet, vocab)
+        with pytest.raises(CheckpointError, match="expected"):
+            load_checkpoint(path)
+
+    path = tmp_path / "m.vpck"
+    save_checkpoint(path, params, Variant.JOINT, alphabet, vocab)
+    raw = path.read_bytes()
+    d_at = 4 + 4 + 4 + len(Variant.JOINT.value.encode())
+    assert int.from_bytes(raw[d_at:d_at + 4], "little") == params.d
+    big_d = tmp_path / "big-d.vpck"
+    big_d.write_bytes(raw[:d_at] + (1000).to_bytes(4, "little") + raw[d_at + 4:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(big_d)
 
 
 def test_non_finite_rejected(tmp_path):

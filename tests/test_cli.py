@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 
@@ -260,12 +261,15 @@ def test_resample_size_beyond_pool_is_config_error(tmp_path):
 
 
 def write_manifest(directory, **files):
-    """A split manifest directory; a file given as None is left out."""
+    """A split manifest directory; a file given as None is left out, one
+    given as bytes is written as they are."""
     directory.mkdir()
     base = {"train.idx": "0\n1\n2\n3\n4\n5\n", "dev.idx": "6\n", "test.idx": "7\n",
             "seed.txt": "0\n"}
     for name, text in {**base, **files}.items():
-        if text is not None:
+        if isinstance(text, bytes):
+            (directory / name).write_bytes(text)
+        elif text is not None:
             (directory / name).write_text(text)
     return str(directory)
 
@@ -296,7 +300,12 @@ def test_exit_codes(tmp_path, capsys):
         "repeated": write_manifest(tmp_path / "m3", **{"train.idx": "0\n1\n1\n"}),
         "overlap": write_manifest(tmp_path / "m4", **{"test.idx": "7\n6\n"}),
         "out-of-range": write_manifest(tmp_path / "m5", **{"test.idx": "99\n"}),
+        "undecodable": write_manifest(tmp_path / "m6", **{"dev.idx": b"6\n\xff\n"}),
+        "directory": write_manifest(tmp_path / "m7", **{"test.idx": None}),
     }
+    os.mkdir(os.path.join(manifests["directory"], "test.idx"))
+    negative_seed = tmp_path / "negative-seed.cfg"
+    negative_seed.write_text("seed=-1\n")
     x = str(tmp_path / "x")
     train = ["train", "--data", data, "--out-dir", x, "--dim", "8", "--epochs", "1"]
     evaluate = ["evaluate", "--checkpoint", ckpt, "--data", data, "--out-dir", x]
@@ -327,6 +336,10 @@ def test_exit_codes(tmp_path, capsys):
         (["predict", "--checkpoint", ckpt, "--morphemes", "a+b", "--max-len", "0",
           "--out-dir", x], 2),
         (evaluate + ["--max-len", "0"], 2),
+        (train + ["--seed", "-1"], 2, "seed"),
+        (["resample", "--weighted-data", str(wdata), "--sizes", "4", "--seed", "-1",
+          "--out-dir", x], 2, "seed"),
+        (train + ["--config", str(negative_seed)], 2, "seed"),
         (["resample", "--weighted-data", str(wdata), "--sizes", "4",
           "--max-len", "-1", "--out-dir", x], 2),
         (["predict", "--checkpoint", str(tmp_path / "nope.vpck"),
@@ -368,6 +381,20 @@ def test_exit_codes(tmp_path, capsys):
         assert len(errors) == (0 if code == 0 else 1), (argv, err)
         if needle:
             assert needle[0] in errors[0], (argv, err)
+
+
+def test_diverging_train_is_one_training_error_without_numpy_warnings(tmp_path, capsys):
+    data, _ = write_toy(tmp_path)
+    out = tmp_path / "x"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--data", data, "--dim", "8", "--epochs", "1", "--lr", "1e300",
+                   "--out-dir", str(out)])
+    assert rc == 1
+    assert not (out / "checkpoint.vpck").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: TrainingError"), err
 
 
 def test_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
