@@ -24,6 +24,7 @@ import struct
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import CheckpointError
 from .model import ModelParams, Variant, param_shapes
 from .vocab import Alphabet, MorphemeVocab
@@ -88,8 +89,7 @@ def save_checkpoint(path, params: ModelParams, variant: Variant,
         for dim in arr.shape:
             _write_u32(buf, dim)
         buf.write(arr.astype("<f4").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab]:

@@ -24,7 +24,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (SplitSpec, build_vocab, parse_unimorph_tsv, parse_weighted_tsv,
                    read_lines, read_split_manifest, sample_training_set,
-                   split_paradigms, write_split_manifest)
+                   split_paradigms, write_atomic, write_split_manifest)
 from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
 from .errors import CompatibilityError, ConfigError, DataError, VecphonError
 from .evaluation import EvalReport, evaluate, predict, resample_eval
@@ -93,8 +93,7 @@ def echo_config(ns, parser) -> None:
     for key, action in sorted(options(parser).items()):
         value = getattr(ns, action.dest)
         lines.append(f"{key}={'' if value is None else value}")
-    with open(os.path.join(ns.out_dir, "config.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    write_atomic(os.path.join(ns.out_dir, "config.txt"), "\n".join(lines) + "\n")
 
 
 def parse_fracs(text) -> tuple[float, float, float]:
@@ -247,8 +246,7 @@ def cmd_predict(ns) -> None:
             out_lines.append(f"{r.predicted}\t{r.surprisal:.6f}")
     text = "\n".join(out_lines)
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as f:
-            f.write(text + "\n")
+        write_atomic(ns.out, text + "\n")
     else:
         print(text)
 
@@ -273,13 +271,12 @@ def cmd_evaluate(ns) -> None:
     name = ns.run_name or os.path.splitext(os.path.basename(ns.data or ns.weighted_data))[0]
     table = report_table(name, variant, rep)
     print(table)
-    with open(os.path.join(ns.out_dir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(table + "\n")
+    write_atomic(os.path.join(ns.out_dir, "report.txt"), table + "\n")
     payload = {"run": name, "variant": variant.value,
                "conventions": "surprisal counts EOS in both the sum and the length",
                **dataclasses.asdict(rep)}
-    with open(os.path.join(ns.out_dir, "report.json"), "w", encoding="utf-8") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=1)
+    write_atomic(os.path.join(ns.out_dir, "report.json"),
+                 json.dumps(payload, ensure_ascii=False, indent=1))
 
 
 def cmd_export_embeddings(ns) -> None:
@@ -330,8 +327,7 @@ def cmd_resample(ns) -> None:
                          f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")
     text = "\n".join(lines)
     print(text)
-    with open(os.path.join(ns.out_dir, "curve.tsv"), "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+    write_atomic(os.path.join(ns.out_dir, "curve.tsv"), text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -59,16 +59,34 @@ class SplitSpec:
 # parsing
 
 def read_lines(path) -> list[str]:
-    """A UTF-8 text file's lines; a missing or undecodable file is a DataError."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, "rb") as f:
-        raw = f.read()
+    """A UTF-8 text file's lines; a missing, unreadable (a directory, say)
+    or undecodable file is a DataError."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror}") from None
     try:
         return raw.decode("utf-8").replace("\r\n", "\n").split("\n")
     except UnicodeDecodeError as e:
         lineno = raw.count(b"\n", 0, e.start) + 1
         raise DataError(f"{path}:{lineno}: not valid UTF-8") from None
+
+
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to ``path`` through a temporary file
+    in the same directory, so a failed write leaves any earlier file as
+    it was and no temporary file behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _tsv_rows(path, n_cols: int) -> Iterator[tuple[int, list[str]]]:
@@ -215,8 +233,8 @@ def write_split_manifest(directory, train: list[int], dev: list[int],
     os.makedirs(directory, exist_ok=True)
     files = {"train.idx": train, "dev.idx": dev, "test.idx": test, "seed.txt": [seed]}
     for name, values in files.items():
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
-            f.write("\n".join(str(i) for i in values) + ("\n" if values else ""))
+        write_atomic(os.path.join(directory, name),
+                     "\n".join(str(i) for i in values) + ("\n" if values else ""))
 
 
 def read_split_manifest(directory, n_rows: int) -> tuple[list[int], list[int], list[int], int]:

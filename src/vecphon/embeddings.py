@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import write_atomic
 from .errors import ConfigError
 from .model import ModelParams
 from .vocab import MorphemeVocab
@@ -55,6 +56,5 @@ def export_rows(params: ModelParams, vocab: MorphemeVocab,
 
 def write_embeddings(path, rows: list[tuple[str, np.ndarray]]) -> None:
     """Tab-separated: identifier then one column per vector component."""
-    with open(path, "w", encoding="utf-8") as f:
-        for ident, vec in rows:
-            f.write(ident + "\t" + "\t".join(f"{v:.9g}" for v in vec) + "\n")
+    write_atomic(path, "".join(ident + "\t" + "\t".join(f"{v:.9g}" for v in vec) + "\n"
+                               for ident, vec in rows))

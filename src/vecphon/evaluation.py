@@ -2,8 +2,10 @@
 per-symbol surprisal, resample aggregation, paired permutation test.
 
 ``predict`` spells and scores; ``evaluate`` is ``predict`` plus edit
-distances and aggregation. Surprisal counts EOS in both the
-log-probability sum and the length normalizer. An item with an
+distances and aggregation. ``predict`` decodes all known requests in
+lockstep and scores all gold forms in one teacher-forced pass, in
+chunks of at most ``model.BATCH_WORDS`` words. Surprisal counts EOS in
+both the log-probability sum and the length normalizer. An item with an
 out-of-vocabulary morpheme is not decoded and scores as a failure (edit
 distance = gold length); it and a gold form that does not encode have
 no surprisal, and are left out of the surprisal mean.
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, VocabularyError
-from .model import ModelParams, Variant, greedy_decode, word_logprob
+from .model import ModelParams, Variant, batch_logprobs, greedy_decode_batch
 from .seeds import derive_rng, derive_seed
 from .vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
 
@@ -37,12 +39,18 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return prev[len(b)]
 
 
+def surprisals(variant: Variant, entries: Sequence[LexiconEntry], params: ModelParams,
+               alphabet: Alphabet) -> list[float]:
+    """Negative log-probability of each gold form at the noise-free mean,
+    in nats per symbol; EOS counts in both numerator and length."""
+    lps = batch_logprobs(variant, entries, params, alphabet).tolist()
+    return [-lp / (len(e.form) + 1) for e, lp in zip(entries, lps)]
+
+
 def surprisal(variant: Variant, entry: LexiconEntry, params: ModelParams,
               alphabet: Alphabet) -> float:
-    """Negative log-probability of the gold form at the noise-free mean,
-    in nats per symbol; EOS counts in both numerator and length."""
-    lp = word_logprob(variant, entry, params, alphabet).item()
-    return -lp / (len(entry.form) + 1)
+    """``surprisals`` of one entry."""
+    return surprisals(variant, [entry], params, alphabet)[0]
 
 
 @dataclass
@@ -72,23 +80,21 @@ def predict(variant: Variant, params: ModelParams, alphabet: Alphabet,
     greedy decoding at the noise-free mean, with the surprisal of its gold
     form if one is given and encodes. A request with an out-of-vocabulary
     morpheme is flagged unknown and not decoded."""
-    records = []
-    for morphemes, gold in requests:
-        morphemes = tuple(morphemes)
-        if any(m not in vocab for m in morphemes):
-            records.append(PredictionRecord(morphemes, gold, "", None, None, True))
-            continue
-        ids = [vocab.index(m) for m in morphemes]
-        pred = alphabet.decode(greedy_decode(variant, ids, params, alphabet, max_len))
-        s = None
-        if gold is not None:
+    records = [PredictionRecord(tuple(m), gold, "", None, None,
+                                any(x not in vocab for x in m)) for m, gold in requests]
+    known = [r for r in records if not r.unknown]
+    spelled = greedy_decode_batch(variant, [[vocab.index(m) for m in r.morphemes] for r in known],
+                                  params, alphabet, max_len)
+    scored = []
+    for r, symbols in zip(known, spelled):
+        r.predicted = alphabet.decode(symbols)
+        if r.gold is not None:
             try:
-                entry = encode_entry(alphabet, vocab, morphemes, gold)
+                scored.append((r, encode_entry(alphabet, vocab, r.morphemes, r.gold)))
             except (DataError, VocabularyError):
                 pass
-            else:
-                s = surprisal(variant, entry, params, alphabet)
-        records.append(PredictionRecord(morphemes, gold, pred, None, s))
+    for (r, _), s in zip(scored, surprisals(variant, [e for _, e in scored], params, alphabet)):
+        r.surprisal = s
     return records
 
 

@@ -18,20 +18,24 @@ morpheme pathway is the only source of morphological information. EOS is
 part of the output space and is scored at the final position of every
 word.
 
-The model is plain numpy. Scoring a known form (``WordPass``) runs the
-LSTM recurrence step by step and everything else on all T = |form| + 1
+The model is plain numpy; its building blocks take leading batch axes.
+Scoring a known form for training (``WordPass``) runs the LSTM
+recurrence step by step and everything else on all T = |form| + 1
 steps at once: the input projection is one matrix product, and the
 readout, attention and joint mixture work on T rows (T*k rows for the
 joint variant's k morphemes). ``WordPass.nll_backward`` is the
 hand-derived gradient of that pass, with one weight-gradient matrix
 product per word and parameter (Appleyard et al. 2016, arXiv:1604.01946).
-``IncrementalDecoder`` drives the same cell and readout one symbol at a
-time, for greedy decoding.
+Inference steps ``IncrementalDecoder`` over chunks of up to BATCH_WORDS
+words of one morpheme count (and, to score, one form length): each step
+is one (B, d) LSTM update and one (B, .) readout, no row is padded, and
+a decoded word leaves the batch at EOS.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from typing import Callable, NamedTuple, Sequence
 
@@ -142,7 +146,7 @@ def init_params(rng: np.random.Generator, n_morphemes: int,
 
 
 # ---------------------------------------------------------------------------
-# building blocks; each works on one row or on a stack of rows
+# building blocks; each works on one row or on rows with leading batch axes
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Numerically stable log softmax along the last axis."""
@@ -180,15 +184,15 @@ def dropout_masks(rng: np.random.Generator, rate: float, shape) -> np.ndarray:
 
 
 def lstm_step(params: ModelParams, zx: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One LSTM-cell update. ``zx`` is the input's share of the gate
-    pre-activations, W_x x + b. Returns (new hidden, new cell, gate
-    activations [i, f, o, g])."""
+    """One LSTM-cell update of each row. ``zx`` is the input's share of
+    the gate pre-activations, W_x x + b. Returns (new hidden, new cell,
+    gate activations [i, f, o, g])."""
     d = params.d
-    z = zx + params.lstm_wh @ h
+    z = zx + h @ params.lstm_wh.T
     gates = np.empty_like(z)
-    gates[:3 * d] = 1.0 / (1.0 + np.exp(-z[:3 * d]))
-    gates[3 * d:] = np.tanh(z[3 * d:])
-    i, f, o, g = gates[:d], gates[d:2 * d], gates[2 * d:3 * d], gates[3 * d:]
+    gates[..., :3 * d] = 1.0 / (1.0 + np.exp(-z[..., :3 * d]))
+    gates[..., 3 * d:] = np.tanh(z[..., 3 * d:])
+    i, f, o, g = gates[..., :d], gates[..., d:2 * d], gates[..., 2 * d:3 * d], gates[..., 3 * d:]
     c2 = f * c + i * g
     h2 = o * np.tanh(c2)
     return h2, c2, gates
@@ -203,8 +207,10 @@ def readout(params: ModelParams, hu: np.ndarray):
 
 
 def attention_log_weights(h: np.ndarray, m_rows: np.ndarray, attn_t: np.ndarray) -> np.ndarray:
-    """log of the softmax over morphemes j of h^T T m_j, per row of h."""
-    return log_softmax((h @ attn_t) @ m_rows.T)
+    """log of the softmax over morphemes j of h^T T m_j, per row of h;
+    ``m_rows`` (..., k, d) holds each row's morphemes, its leading axes
+    broadcasting against h's."""
+    return log_softmax(np.einsum("...d,...kd->...k", h @ attn_t, m_rows))
 
 
 class Emission(NamedTuple):
@@ -218,19 +224,22 @@ class Emission(NamedTuple):
 
 def emit(params: ModelParams, variant: Variant, h: np.ndarray, m_rows: np.ndarray,
          noise: np.ndarray | None = None) -> Emission:
-    """Per-step output distributions for decoder states ``h`` (one row,
-    or T rows) given the word's morpheme rows. ``noise`` is added to the
-    underlying form: one vector for pos-indep, one row per state for
-    pos-dep; the joint variant has no underlying form."""
-    k, d = m_rows.shape
+    """Per-step output distributions for decoder states ``h`` (..., d)
+    given each state's morpheme rows ``m_rows`` (..., k, d), whose leading
+    axes broadcast against h's: one word's (k, d) rows serve all of its
+    T states, and B words' (B, k, d) rows their B states. ``noise`` is
+    added to the underlying form: one vector for pos-indep, one row per
+    state for pos-dep; the joint variant has no underlying form."""
+    k, d = m_rows.shape[-2:]
+    lead = h.shape[:-1]
     if variant is Variant.JOINT:
         log_alpha = attention_log_weights(h, m_rows, params.attn_t)
-        lead = h.shape[:-1] + (k, d)
-        hu = np.concatenate([np.broadcast_to(h[..., None, :], lead),
-                             np.broadcast_to(m_rows, lead)], axis=-1).reshape(-1, 2 * d)
+        both = lead + (k, d)
+        hu = np.concatenate([np.broadcast_to(h[..., None, :], both),
+                             np.broadcast_to(m_rows, both)], axis=-1).reshape(-1, 2 * d)
         a, logp = readout(params, hu)
         # mix per-morpheme readouts in probability space
-        mix = logsumexp(logp.reshape(lead[:-1] + (-1,)) + log_alpha[..., None], axis=-2)
+        mix = logsumexp(logp.reshape(lead + (k, -1)) + log_alpha[..., None], axis=-2)
         if not np.all(np.isfinite(mix)):
             raise NumericError("non-finite mixture in joint emission")
         return Emission(mix, hu, a, logp, log_alpha)
@@ -239,12 +248,12 @@ def emit(params: ModelParams, variant: Variant, h: np.ndarray, m_rows: np.ndarra
         u = np.full(k, 1.0 / k) @ m_rows  # the morpheme rows' arithmetic mean
     else:
         log_alpha = attention_log_weights(h, m_rows, params.attn_t)
-        u = np.exp(log_alpha) @ m_rows
+        u = np.einsum("...k,...kd->...d", np.exp(log_alpha), m_rows)
     if noise is not None:
         u = u + noise
     hu = np.concatenate([h, np.broadcast_to(u, h.shape)], axis=-1)
-    a, logp = readout(params, hu)
-    return Emission(logp, hu, a, logp, log_alpha)
+    a, logp = readout(params, hu.reshape(-1, 2 * d))
+    return Emission(logp.reshape(lead + (-1,)), hu, a, logp, log_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -399,53 +408,98 @@ def word_logprob(variant: Variant, entry: LexiconEntry, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# decoding
+# inference: words in lockstep
+
+BATCH_WORDS = 64  # words per lockstep chunk
+
 
 class IncrementalDecoder:
-    """One word's noise-free spell-out process, advanced one symbol at a
-    time. ``step`` consumes the previous symbol's embedding-table id (BOS
-    first) and returns the log-distribution over the next symbol."""
+    """B words' noise-free spell-out processes, advanced in lockstep one
+    symbol at a time. ``morphemes`` holds one row of morpheme ids per
+    word, all of one length. ``step`` consumes each row's previous symbol
+    (embedding-table id, BOS first) and returns the rows'
+    log-distributions over the next symbol."""
 
-    def __init__(self, params: ModelParams, variant: Variant, morphemes: Sequence[int]):
-        if len(morphemes) == 0:
+    def __init__(self, params: ModelParams, variant: Variant,
+                 morphemes: Sequence[Sequence[int]]):
+        ids = np.asarray(morphemes, dtype=np.intp)
+        if ids.ndim != 2 or ids.shape[1] == 0:
             raise DataError("a word needs at least one morpheme")
-        self.params = params
-        self.variant = variant
-        self.m_rows = params.morph_emb[list(morphemes)]
+        self.params, self.variant = params, variant
+        self.m_rows = params.morph_emb[ids]
+        # no dropout at inference, so the input projection is a row lookup
+        self.zx = params.char_emb @ params.lstm_wx.T + params.lstm_b
 
     def start_state(self):
-        d = self.params.d
-        return np.zeros(d), np.zeros(d)
+        return np.zeros((2, len(self.m_rows), self.params.d))  # hidden, cell
 
-    def step(self, state, prev_char_id: int):
-        """Advance on the previous character; return (log-distribution over
-        surface symbols + EOS, new state)."""
+    def step(self, state, prev_char_ids):
+        """Advance every row on its previous character; return ((B, n+1)
+        log-distributions over surface symbols + EOS, new state)."""
         p = self.params
-        h, c, _ = lstm_step(p, p.lstm_wx @ p.char_emb[prev_char_id] + p.lstm_b, *state)
+        h, c, _ = lstm_step(p, self.zx[prev_char_ids], *state)
         return emit(p, self.variant, h, self.m_rows).logdist, (h, c)
+
+
+def _chunks(keys: Sequence) -> list[list[int]]:
+    """Indices grouped by equal key, in chunks of at most BATCH_WORDS."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    groups = [list(g) for _, g in itertools.groupby(order, key=keys.__getitem__)]
+    return [g[i:i + BATCH_WORDS] for g in groups for i in range(0, len(g), BATCH_WORDS)]
+
+
+def greedy_decode_batch(variant: Variant, morphemes: Sequence[Sequence[int]],
+                        params: ModelParams, alphabet: Alphabet,
+                        max_len: int) -> list[tuple[int, ...]]:
+    """``greedy_decode`` of each morpheme-id sequence, decoded in lockstep
+    with the words of equal morpheme count; results in input order."""
+    if max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
+    out: list[tuple[int, ...]] = [()] * len(morphemes)
+    for rows in _chunks([len(m) for m in morphemes]):
+        dec = IncrementalDecoder(params, variant, [morphemes[i] for i in rows])
+        state, prev = dec.start_state(), np.full(len(rows), alphabet.bos_id)
+        live = np.arange(len(rows))  # positions in rows still decoding
+        spelled = np.full((len(rows), max_len), alphabet.eos_out)
+        for t in range(max_len):
+            logdist, state = dec.step(state, prev)
+            prev = logdist.argmax(axis=1)  # ties break toward the lowest index
+            spelled[live, t] = prev
+            ended = prev == alphabet.eos_out
+            if ended.any():  # finished rows leave the batch
+                live, prev, dec.m_rows = live[~ended], prev[~ended], dec.m_rows[~ended]
+                state = (state[0][~ended], state[1][~ended])
+                if not live.size:
+                    break
+        for j, i in enumerate(rows):
+            out[i] = tuple(itertools.takewhile(alphabet.eos_out.__ne__, spelled[j].tolist()))
+    return out
 
 
 def greedy_decode(variant: Variant, morphemes: Sequence[int], params: ModelParams,
                   alphabet: Alphabet, max_len: int) -> tuple[int, ...]:
-    """Noise-free argmax decoding until EOS or ``max_len`` symbols.
+    """Noise-free argmax decoding until EOS or ``max_len`` symbols: surface
+    symbol indices, BOS/EOS-free; argmax ties break toward the lowest index."""
+    return greedy_decode_batch(variant, [morphemes], params, alphabet, max_len)[0]
 
-    Returns surface symbol indices, BOS/EOS-free. Deterministic for a
-    fixed parameter set (argmax ties break toward the lowest index).
-    """
-    if max_len < 1:
-        raise DataError(f"max_len must be >= 1, got {max_len}")
-    dec = IncrementalDecoder(params, variant, morphemes)
-    state = dec.start_state()
-    prev = alphabet.bos_id
-    out: list[int] = []
-    for _ in range(max_len):
-        logdist, state = dec.step(state, prev)
-        sym = int(np.argmax(logdist))
-        if sym == alphabet.eos_out:
-            break
-        out.append(sym)
-        prev = sym
-    return tuple(out)
+
+def batch_logprobs(variant: Variant, entries: Sequence[LexiconEntry], params: ModelParams,
+                   alphabet: Alphabet) -> np.ndarray:
+    """Noise-free ``word_logprob`` of each entry, in input order, scored
+    teacher-forced in lockstep with the words of equal morpheme count and
+    form length."""
+    out = np.zeros(len(entries))
+    for rows in _chunks([(len(e.morphemes), len(e.form)) for e in entries]):
+        dec = IncrementalDecoder(params, variant, [entries[i].morphemes for i in rows])
+        state, prev = dec.start_state(), np.full(len(rows), alphabet.bos_id)
+        forms = np.array([entries[i].form for i in rows], dtype=np.intp)
+        for target in [*forms.T, np.full(len(rows), alphabet.eos_out)]:
+            logdist, state = dec.step(state, prev)
+            out[rows] += logdist[np.arange(len(rows)), target]
+            prev = target
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite word log-probability")
+    return out
 
 
 def default_max_len(train_entries: Sequence[LexiconEntry]) -> int:

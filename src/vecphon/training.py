@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Adam, clip_global_norm
+from .data import write_atomic
 from .errors import ConfigError, NumericError, TrainingError
-from .model import ModelParams, Variant, WordPass, init_params
+from .model import ModelParams, Variant, WordPass, batch_logprobs, init_params
 from .seeds import derive_rng
 from .vocab import Alphabet, LexiconEntry, MorphemeVocab
 
@@ -87,8 +88,7 @@ class TrainLog:
         return lines
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("\n".join(self.format_lines()) + "\n")
+        write_atomic(path, "\n".join(self.format_lines()) + "\n")
 
 
 class PlateauSchedule:
@@ -143,11 +143,9 @@ def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
 
 def mean_dev_loss(variant: Variant, entries, params: ModelParams,
                   alphabet: Alphabet) -> float:
-    """Deterministic mean per-word loss: dropout off, noise pinned to 0."""
-    total = 0.0
-    for e in entries:
-        total += float(elbo_word_loss(variant, e, params, alphabet, None))
-    return total / len(entries)
+    """Deterministic mean per-word loss: dropout off, noise pinned to 0;
+    the words are scored in lockstep (``batch_logprobs``)."""
+    return -float(batch_logprobs(variant, entries, params, alphabet).sum()) / len(entries)
 
 
 def train(config: TrainConfig, train_entries: list[LexiconEntry],

@@ -109,13 +109,13 @@ def test_criterion_2_probability_mass_accounting():
 
         # strings longer than the cap: the first cap+1 emissions are all
         # characters, so sum the char-emission mass over every such path
-        dec = IncrementalDecoder(params, variant, (0, 1))
+        dec = IncrementalDecoder(params, variant, [(0, 1)])
 
         def descend(state, prev, depth, logp):
             if depth == cap + 1:
                 return math.exp(logp)
-            logdist, new_state = dec.step(state, prev)
-            return sum(descend(new_state, sym, depth + 1, logp + float(logdist[sym]))
+            logdist, new_state = dec.step(state, [prev])
+            return sum(descend(new_state, sym, depth + 1, logp + float(logdist[0, sym]))
                        for sym in range(alphabet.size))
 
         total += descend(dec.start_state(), alphabet.bos_id, 0, 0.0)

@@ -383,6 +383,32 @@ def test_exit_codes(tmp_path, capsys):
             assert needle[0] in errors[0], (argv, err)
 
 
+def test_directory_inputs_are_data_errors(tmp_path, capsys):
+    # a directory given where a text file is expected: a corpus, --input,
+    # --config or a split-manifest file (here m/test.idx)
+    data, out = train_toy(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    manifest = write_manifest(tmp_path / "m", **{"test.idx": None})
+    os.mkdir(os.path.join(manifest, "test.idx"))
+    x = str(tmp_path / "x")
+    cases = [
+        (["train", "--data", data, "--dim", "8", "--epochs", "1",
+          "--split-manifest", manifest, "--out-dir", x], "DataError", "test.idx"),
+        (["train", "--data", str(folder), "--out-dir", x], "DataError", str(folder)),
+        (["train", "--weighted-data", str(folder), "--out-dir", x], "DataError", str(folder)),
+        (["predict", "--checkpoint", os.path.join(out, "checkpoint.vpck"),
+          "--input", str(folder), "--out-dir", x], "DataError", str(folder)),
+        (["train", "--config", str(folder), "--out-dir", x], "config", str(folder)),
+    ]
+    for argv, kind, needle in cases:
+        capsys.readouterr()
+        assert main(argv) == (2 if kind == "config" else 1), argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {kind}: "), (argv, err)
+        assert needle in err[0] and "Is a directory" in err[0], (argv, err)
+
+
 def test_diverging_train_is_one_training_error_without_numpy_warnings(tmp_path, capsys):
     data, _ = write_toy(tmp_path)
     out = tmp_path / "x"

@@ -254,3 +254,47 @@ def test_manifest_round_trip(tmp_path):
     assert got == (train, dev, test, 77)
     with pytest.raises(DataError):
         read_split_manifest(tmp_path / "nowhere", 6)
+
+
+def test_failed_write_leaves_the_earlier_file_and_no_temporary(tmp_path, monkeypatch):
+    # every output goes through write_atomic: a write that stops half-way
+    # (a full disk) must leave the file it replaces byte-identical
+    import vecphon.data as data_module
+    from vecphon.checkpoint import save_checkpoint
+    from vecphon.model import Variant, init_params
+    from vecphon.training import TrainLog
+
+    alphabet, vocab = build_vocab(["ab"], [("m0", "m1")])
+    params = init_params(np.random.default_rng(0), len(vocab), alphabet, 3)
+    writers = {
+        "plain.txt": lambda p: data_module.write_atomic(p, "x" * 100 + "\n"),
+        "checkpoint.vpck": lambda p: save_checkpoint(p, params, Variant.JOINT, alphabet, vocab),
+        "trainlog.tsv": lambda p: TrainLog().write(p),
+    }
+    for name, write_file in writers.items():
+        write_file(tmp_path / name)
+    before = {name: (tmp_path / name).read_bytes() for name in writers}
+    real_open = open
+
+    class HalfWritten:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(data_module, "open", lambda path, mode: HalfWritten(real_open(path, mode)),
+                        raising=False)
+    params.flat += 1.0
+    for name, write_file in writers.items():
+        with pytest.raises(OSError):
+            write_file(tmp_path / name)
+        assert (tmp_path / name).read_bytes() == before[name], name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)

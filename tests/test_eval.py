@@ -8,9 +8,9 @@ import pytest
 
 from vecphon.errors import ConfigError, DataError
 from vecphon.evaluation import (EvalReport, evaluate, levenshtein, mean_sd,
-                                paired_permutation_test, resample_eval,
+                                paired_permutation_test, predict, resample_eval,
                                 surprisal)
-from vecphon.model import Variant, init_params
+from vecphon.model import Variant, greedy_decode, init_params, word_logprob
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab
 
 
@@ -90,6 +90,44 @@ def test_evaluate_report_and_unknowns():
     assert rep2 == rep
     with pytest.raises(DataError):
         evaluate(Variant.JOINT, params, alphabet, vocab, [], max_len=6)
+
+
+def test_predict_matches_per_word_decoding_and_scoring():
+    # 160 requests in lockstep chunks, one, two and three morphemes, with
+    # out-of-vocabulary morphemes, gold forms that do not encode and
+    # requests without gold mixed in; each record must equal what the
+    # per-word greedy_decode and word_logprob give it, in request order
+    alphabet = Alphabet("abc")
+    vocab = MorphemeVocab([f"m{i}" for i in range(5)])
+    rng = np.random.default_rng(24)
+    params = init_params(rng, 5, alphabet, 6)
+    params.flat *= 3.0
+    requests = []
+    for i in range(160):
+        morphemes = tuple(f"m{j}" for j in rng.integers(0, 5, rng.integers(1, 4)))
+        gold = "".join(rng.choice(list("abc"), size=rng.integers(1, 7)))
+        if i % 17 == 0:
+            morphemes += ("mystery",)
+        gold = (None, "", "axb")[i % 3] if i % 5 == 0 else gold
+        requests.append((morphemes, gold))
+    for variant in Variant:
+        records = predict(variant, params, alphabet, vocab, requests, max_len=5)
+        assert [(r.morphemes, r.gold) for r in records] == requests
+        for r, (morphemes, gold) in zip(records, requests):
+            assert r.unknown == ("mystery" in morphemes)
+            if r.unknown:
+                assert r.predicted == "" and r.surprisal is None
+                continue
+            ids = [vocab.index(m) for m in morphemes]
+            assert r.predicted == alphabet.decode(
+                greedy_decode(variant, ids, params, alphabet, max_len=5))
+            if gold in (None, "", "axb"):
+                assert r.surprisal is None
+                continue
+            entry = LexiconEntry(tuple(ids), alphabet.encode(gold))
+            want = -word_logprob(variant, entry, params, alphabet) / (len(gold) + 1)
+            assert abs(r.surprisal - want) <= 1e-10 * abs(want)
+        assert predict(variant, params, alphabet, vocab, requests, max_len=5) == records
 
 
 def test_evaluate_acc_100_implies_zero_distance():

@@ -11,6 +11,7 @@ from vecphon.errors import DataError
 from vecphon.model import (IncrementalDecoder, Variant, WordPass,
                            attention_log_weights, emit, greedy_decode,
                            init_params, lstm_step, readout, word_logprob)
+from vecphon.training import mean_dev_loss
 from vecphon.vocab import Alphabet, LexiconEntry
 
 ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
@@ -206,12 +207,12 @@ def test_per_step_distributions_normalize_all_variants():
         alphabet, params, rng = tiny_setup(seed=seed, n_chars=3, n_morphs=4)
         morphemes = list(rng.integers(0, 4, size=int(rng.integers(1, 4))))
         for variant in ALL_VARIANTS:
-            dec = IncrementalDecoder(params, variant, morphemes)
+            dec = IncrementalDecoder(params, variant, [morphemes])
             state = dec.start_state()
             prev = alphabet.bos_id
             for sym in [0, 1, 2]:
-                logdist, state = dec.step(state, prev)
-                assert abs(np.exp(logdist).sum() - 1.0) < 1e-10
+                logdist, state = dec.step(state, [prev])
+                assert abs(np.exp(logdist[0]).sum() - 1.0) < 1e-10
                 prev = sym
 
 
@@ -287,9 +288,9 @@ def test_morpheme_gradient_sparsity():
 
 def test_embed_rows_stack_in_order():
     alphabet, params, _ = tiny_setup(seed=17, n_morphs=4)
-    dec = IncrementalDecoder(params, Variant.JOINT, [2, 0])
-    assert np.allclose(dec.m_rows[0], params.morph_emb[2])
-    assert np.allclose(dec.m_rows[1], params.morph_emb[0])
+    dec = IncrementalDecoder(params, Variant.JOINT, [[2, 0]])
+    assert np.allclose(dec.m_rows[0, 0], params.morph_emb[2])
+    assert np.allclose(dec.m_rows[0, 1], params.morph_emb[0])
 
 
 def test_default_max_len():
@@ -355,10 +356,57 @@ def test_decoder_steps_match_teacher_forced_pass():
     entry = LexiconEntry(morphemes=(3, 0, 1), form=(2, 0, 0, 3, 1))
     for variant in ALL_VARIANTS:
         scored = WordPass(variant, entry, params, alphabet).out.logdist
-        dec = IncrementalDecoder(params, variant, entry.morphemes)
+        dec = IncrementalDecoder(params, variant, [entry.morphemes])
         state = dec.start_state()
         prev = alphabet.bos_id
         for t, sym in enumerate(entry.form + (None,)):
-            logdist, state = dec.step(state, prev)
-            assert np.max(np.abs(logdist - scored[t])) < 1e-12, (variant, t)
+            logdist, state = dec.step(state, [prev])
+            assert np.max(np.abs(logdist[0] - scored[t])) < 1e-12, (variant, t)
             prev = sym
+
+
+# ---------------------------------------------------------------------------
+# lockstep inference against the per-word paths
+
+def reference_decode(variant, morphemes, params, alphabet, max_len):
+    """Per-word greedy decoding from the one-row building blocks."""
+    m_rows = params.morph_emb[list(morphemes)]
+    h = c = np.zeros(params.d)
+    prev, out = alphabet.bos_id, []
+    while len(out) < max_len:
+        h, c, _ = lstm_step(params, input_share(params, params.char_emb[prev]), h, c)
+        prev = int(np.argmax(emit(params, variant, h, m_rows).logdist))
+        if prev == alphabet.eos_out:
+            break
+        out.append(prev)
+    return tuple(out)
+
+
+def test_lockstep_inference_matches_per_word():
+    # 1-3 morphemes and 0-6 symbols per word, in input order: groups of
+    # one word, groups of more than BATCH_WORDS, and words that reach the
+    # length cap without EOS
+    alphabet, params, rng = tiny_setup(seed=24, d=6, n_chars=3, n_morphs=5, weight_scale=3.0)
+    params.lstm_b[:] = rng.normal(size=params.lstm_b.shape)
+    words = [LexiconEntry(tuple(rng.integers(0, 5, rng.integers(1, 4)).tolist()),
+                          tuple(rng.integers(0, 3, rng.integers(0, 7)).tolist()))
+             for _ in range(130)]
+    words[40:40] = [LexiconEntry(tuple(rng.integers(0, 5, 2).tolist()),
+                                 tuple(rng.integers(0, 3, 3).tolist())) for _ in range(70)]
+    assert sum((len(w.morphemes), len(w.form)) == (2, 3) for w in words) > md.BATCH_WORDS
+    morphemes = [w.morphemes for w in words]
+    for variant in ALL_VARIANTS:
+        spelled = md.greedy_decode_batch(variant, morphemes, params, alphabet, 5)
+        assert spelled == [reference_decode(variant, m, params, alphabet, 5) for m in morphemes]
+        assert spelled == [greedy_decode(variant, m, params, alphabet, 5) for m in morphemes]
+        assert {0, 5} < {len(s) for s in spelled}, variant
+        assert md.greedy_decode_batch(variant, morphemes, params, alphabet, 5) == spelled
+
+        lps = md.batch_logprobs(variant, words, params, alphabet)
+        per_word = np.array([word_logprob(variant, w, params, alphabet) for w in words])
+        assert np.all(np.abs(lps - per_word) <= 1e-10 * np.abs(per_word)), variant
+        alone = np.array([md.batch_logprobs(variant, [w], params, alphabet)[0] for w in words])
+        assert np.all(np.abs(lps - alone) <= 1e-12 * np.abs(alone)), variant
+        assert np.array_equal(md.batch_logprobs(variant, words, params, alphabet), lps)
+        dev = mean_dev_loss(variant, words, params, alphabet)
+        assert abs(dev + per_word.mean()) <= 1e-10 * abs(per_word.mean()), variant
