@@ -2,9 +2,9 @@
 per-symbol surprisal, resample aggregation, paired permutation test.
 
 ``predict`` spells and scores; ``evaluate`` is ``predict`` plus edit
-distances and aggregation. ``predict`` decodes all known requests in
-lockstep and scores all gold forms in one teacher-forced pass, in
-chunks of at most ``model.BATCH_WORDS`` words. Surprisal counts EOS in
+distances and aggregation. ``predict`` decodes all known requests, and
+scores their gold forms teacher-forced, by stepping the lockstep decoder
+over chunks of at most ``model.BATCH_WORDS`` words. Surprisal counts EOS in
 both the log-probability sum and the length normalizer. An item with an
 out-of-vocabulary morpheme is not decoded and scores as a failure (edit
 distance = gold length); it and a gold form that does not encode have
@@ -45,12 +45,6 @@ def surprisals(variant: Variant, entries: Sequence[LexiconEntry], params: ModelP
     in nats per symbol; EOS counts in both numerator and length."""
     lps = batch_logprobs(variant, entries, params, alphabet).tolist()
     return [-lp / (len(e.form) + 1) for e, lp in zip(entries, lps)]
-
-
-def surprisal(variant: Variant, entry: LexiconEntry, params: ModelParams,
-              alphabet: Alphabet) -> float:
-    """``surprisals`` of one entry."""
-    return surprisals(variant, [entry], params, alphabet)[0]
 
 
 @dataclass

@@ -399,14 +399,6 @@ class WordPass:
         return dz
 
 
-def word_logprob(variant: Variant, entry: LexiconEntry, params: ModelParams,
-                 alphabet: Alphabet, *,
-                 eps: Callable[[], np.ndarray] | None = None) -> np.float64:
-    """Teacher-forced log p(surface | morphemes), dropout off; ``eps`` as
-    in ``WordPass``."""
-    return WordPass(variant, entry, params, alphabet, eps=eps).logprob
-
-
 # ---------------------------------------------------------------------------
 # inference: words in lockstep
 
@@ -451,8 +443,9 @@ def _chunks(keys: Sequence) -> list[list[int]]:
 def greedy_decode_batch(variant: Variant, morphemes: Sequence[Sequence[int]],
                         params: ModelParams, alphabet: Alphabet,
                         max_len: int) -> list[tuple[int, ...]]:
-    """``greedy_decode`` of each morpheme-id sequence, decoded in lockstep
-    with the words of equal morpheme count; results in input order."""
+    """Noise-free argmax decoding of each morpheme-id sequence until EOS or
+    ``max_len`` symbols, in lockstep with the words of equal morpheme
+    count: BOS/EOS-free surface symbol indices, in input order."""
     if max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
     out: list[tuple[int, ...]] = [()] * len(morphemes)
@@ -460,34 +453,30 @@ def greedy_decode_batch(variant: Variant, morphemes: Sequence[Sequence[int]],
         dec = IncrementalDecoder(params, variant, [morphemes[i] for i in rows])
         state, prev = dec.start_state(), np.full(len(rows), alphabet.bos_id)
         live = np.arange(len(rows))  # positions in rows still decoding
-        spelled = np.full((len(rows), max_len), alphabet.eos_out)
-        for t in range(max_len):
+        steps = []  # (live, symbols) of each step taken; max_len may be huge
+        for _ in range(max_len):
             logdist, state = dec.step(state, prev)
             prev = logdist.argmax(axis=1)  # ties break toward the lowest index
-            spelled[live, t] = prev
+            steps.append((live, prev))
             ended = prev == alphabet.eos_out
             if ended.any():  # finished rows leave the batch
                 live, prev, dec.m_rows = live[~ended], prev[~ended], dec.m_rows[~ended]
                 state = (state[0][~ended], state[1][~ended])
                 if not live.size:
                     break
+        spelled = np.full((len(rows), len(steps)), alphabet.eos_out)
+        for t, (where, symbols) in enumerate(steps):
+            spelled[where, t] = symbols
         for j, i in enumerate(rows):
             out[i] = tuple(itertools.takewhile(alphabet.eos_out.__ne__, spelled[j].tolist()))
     return out
 
 
-def greedy_decode(variant: Variant, morphemes: Sequence[int], params: ModelParams,
-                  alphabet: Alphabet, max_len: int) -> tuple[int, ...]:
-    """Noise-free argmax decoding until EOS or ``max_len`` symbols: surface
-    symbol indices, BOS/EOS-free; argmax ties break toward the lowest index."""
-    return greedy_decode_batch(variant, [morphemes], params, alphabet, max_len)[0]
-
-
 def batch_logprobs(variant: Variant, entries: Sequence[LexiconEntry], params: ModelParams,
                    alphabet: Alphabet) -> np.ndarray:
-    """Noise-free ``word_logprob`` of each entry, in input order, scored
-    teacher-forced in lockstep with the words of equal morpheme count and
-    form length."""
+    """Noise-free ``WordPass.logprob`` of each entry, in input order,
+    scored teacher-forced in lockstep with the words of equal morpheme
+    count and form length."""
     out = np.zeros(len(entries))
     for rows in _chunks([(len(e.morphemes), len(e.form)) for e in entries]):
         dec = IncrementalDecoder(params, variant, [entries[i].morphemes for i in rows])

@@ -22,9 +22,9 @@ from vecphon.data import (SplitSpec, WeightedForm, build_vocab,
 from vecphon.embeddings import cosine
 from vecphon.evaluation import (evaluate, levenshtein,
                                 paired_permutation_test, resample_eval,
-                                surprisal)
+                                surprisals)
 from vecphon.model import (IncrementalDecoder, Variant, WordPass, default_max_len,
-                           init_params, word_logprob)
+                           init_params)
 from vecphon.seeds import derive_rng, derive_seed
 from vecphon.training import TrainConfig, mean_dev_loss, train
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
@@ -60,8 +60,8 @@ def test_criterion_1_end_to_end_gradients():
             return lambda: next(it)
 
         def loss_value():
-            return -word_logprob(variant, entry, params, alphabet,
-                                 eps=pinned_eps()).item()
+            return -WordPass(variant, entry, params, alphabet,
+                             eps=pinned_eps()).logprob.item()
 
         grads = params.like()
         WordPass(variant, entry, params, alphabet, eps=pinned_eps()).nll_backward(grads)
@@ -105,7 +105,7 @@ def test_criterion_2_probability_mass_accounting():
         for length in range(cap + 1):
             for chars in product(range(alphabet.size), repeat=length):
                 entry = LexiconEntry(morphemes=(0, 1), form=chars)
-                total += math.exp(word_logprob(variant, entry, params, alphabet).item())
+                total += math.exp(WordPass(variant, entry, params, alphabet).logprob.item())
 
         # strings longer than the cap: the first cap+1 emissions are all
         # characters, so sum the char-emission mass over every such path
@@ -292,7 +292,7 @@ def test_criterion_6_metric_oracles():
     entry = LexiconEntry(morphemes=(0, 1), form=alphabet.encode("cab"))
     params = init_params(np.random.default_rng(3), 2, alphabet, d=4)
     params.readout_v[:] = 0.0  # uniform over the 5-way output space
-    surp_gaps = [abs(surprisal(v, entry, params, alphabet) - math.log(alphabet.out_size))
+    surp_gaps = [abs(surprisals(v, [entry], params, alphabet)[0] - math.log(alphabet.out_size))
                  for v in ALL_VARIANTS]
 
     ok = mismatches == 0 and max(p_gaps) <= 0.01 and max(surp_gaps) < 1e-10
@@ -336,8 +336,8 @@ def test_criterion_9_sampled_loss_bounds_exact_nll():
     variant = Variant.POS_INDEPENDENT
 
     def neg_logprob(offset):
-        return -word_logprob(variant, entry, params, alphabet,
-                             eps=lambda: offset).item()
+        return -WordPass(variant, entry, params, alphabet,
+                         eps=lambda: offset).logprob.item()
 
     # exact -log p by 40-node tensor-product Gauss-Hermite quadrature
     nodes, weights = np.polynomial.hermite.hermgauss(40)

@@ -9,7 +9,7 @@ import numpy as np
 import synthlang
 from vecphon.checkpoint import load_checkpoint
 from vecphon.cli import build_parser, main
-from vecphon.evaluation import surprisal
+from vecphon.evaluation import surprisals
 from vecphon.vocab import encode_entry
 
 
@@ -133,7 +133,7 @@ def test_predict_gold_column_emits_surprisal(tmp_path):
     assert len(fields) == 2
     params, variant, alphabet, vocab = load_checkpoint(ckpt)
     entry = encode_entry(alphabet, vocab, ("stem0", "suf0"), gold_form)
-    assert abs(float(fields[1]) - surprisal(variant, entry, params, alphabet)) < 1e-6
+    assert abs(float(fields[1]) - surprisals(variant, [entry], params, alphabet)[0]) < 1e-6
 
 
 def test_predict_gold_repeats_evaluate(tmp_path):

@@ -9,8 +9,8 @@ import pytest
 from vecphon.errors import ConfigError, DataError
 from vecphon.evaluation import (EvalReport, evaluate, levenshtein, mean_sd,
                                 paired_permutation_test, predict, resample_eval,
-                                surprisal)
-from vecphon.model import Variant, greedy_decode, init_params, word_logprob
+                                surprisals)
+from vecphon.model import Variant, WordPass, greedy_decode_batch, init_params
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab
 
 
@@ -61,7 +61,7 @@ def test_surprisal_uniform_closed_form():
     for form in [(0,), (0, 1), (1, 1, 0, 0)]:
         entry = LexiconEntry(morphemes=(0,), form=form)
         for variant in Variant:
-            s = surprisal(variant, entry, params, alphabet)
+            s = surprisals(variant, [entry], params, alphabet)[0]
             assert abs(s - np.log(3)) < 1e-10
 
 
@@ -69,9 +69,9 @@ def test_surprisal_independent_of_other_entries():
     alphabet = Alphabet("ab")
     params = init_params(np.random.default_rng(3), 2, alphabet, 4)
     e = LexiconEntry(morphemes=(0,), form=(0, 1))
-    s1 = surprisal(Variant.POS_INDEPENDENT, e, params, alphabet)
-    surprisal(Variant.POS_INDEPENDENT, LexiconEntry((1,), (1,)), params, alphabet)
-    assert surprisal(Variant.POS_INDEPENDENT, e, params, alphabet) == s1
+    s1 = surprisals(Variant.POS_INDEPENDENT, [e], params, alphabet)[0]
+    surprisals(Variant.POS_INDEPENDENT, [LexiconEntry((1,), (1,))], params, alphabet)
+    assert surprisals(Variant.POS_INDEPENDENT, [e], params, alphabet)[0] == s1
 
 
 def test_evaluate_report_and_unknowns():
@@ -96,7 +96,7 @@ def test_predict_matches_per_word_decoding_and_scoring():
     # 160 requests in lockstep chunks, one, two and three morphemes, with
     # out-of-vocabulary morphemes, gold forms that do not encode and
     # requests without gold mixed in; each record must equal what the
-    # per-word greedy_decode and word_logprob give it, in request order
+    # one-word greedy_decode_batch and WordPass give it, in request order
     alphabet = Alphabet("abc")
     vocab = MorphemeVocab([f"m{i}" for i in range(5)])
     rng = np.random.default_rng(24)
@@ -120,12 +120,12 @@ def test_predict_matches_per_word_decoding_and_scoring():
                 continue
             ids = [vocab.index(m) for m in morphemes]
             assert r.predicted == alphabet.decode(
-                greedy_decode(variant, ids, params, alphabet, max_len=5))
+                greedy_decode_batch(variant, [ids], params, alphabet, max_len=5)[0])
             if gold in (None, "", "axb"):
                 assert r.surprisal is None
                 continue
             entry = LexiconEntry(tuple(ids), alphabet.encode(gold))
-            want = -word_logprob(variant, entry, params, alphabet) / (len(gold) + 1)
+            want = -WordPass(variant, entry, params, alphabet).logprob / (len(gold) + 1)
             assert abs(r.surprisal - want) <= 1e-10 * abs(want)
         assert predict(variant, params, alphabet, vocab, requests, max_len=5) == records
 

@@ -3,14 +3,16 @@ attention behavior, and decoding determinism."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vecphon import model as md
 from vecphon.errors import DataError
 from vecphon.model import (IncrementalDecoder, Variant, WordPass,
-                           attention_log_weights, emit, greedy_decode,
-                           init_params, lstm_step, readout, word_logprob)
+                           attention_log_weights, emit, init_params,
+                           lstm_step, readout)
 from vecphon.training import mean_dev_loss
 from vecphon.vocab import Alphabet, LexiconEntry
 
@@ -223,8 +225,8 @@ def test_morpheme_order_invariance():
     entry_ab = LexiconEntry(morphemes=(1, 3), form=(0, 1, 2))
     entry_ba = LexiconEntry(morphemes=(3, 1), form=(0, 1, 2))
     for variant in ALL_VARIANTS:
-        lp_ab = word_logprob(variant, entry_ab, params, alphabet).item()
-        lp_ba = word_logprob(variant, entry_ba, params, alphabet).item()
+        lp_ab = WordPass(variant, entry_ab, params, alphabet).logprob.item()
+        lp_ba = WordPass(variant, entry_ba, params, alphabet).logprob.item()
         assert abs(lp_ab - lp_ba) < 1e-12
 
 
@@ -233,24 +235,25 @@ def test_word_logprob_uniform_emission_closed_form():
     params.readout_v[:] = 0.0
     entry = LexiconEntry(morphemes=(0,), form=(0, 2, 1, 1))
     for variant in ALL_VARIANTS:
-        lp = word_logprob(variant, entry, params, alphabet).item()
+        lp = WordPass(variant, entry, params, alphabet).logprob.item()
         assert abs(lp + 5 * np.log(4)) < 1e-10  # (|s|+1) * ln(|sigma|+1)
 
 
 def test_word_logprob_sampling_changes_score_but_mean_pinned():
     alphabet, params, rng = tiny_setup(seed=13)
     entry = LexiconEntry(morphemes=(0, 1), form=(0, 1))
-    base = word_logprob(Variant.POS_INDEPENDENT, entry, params, alphabet).item()
-    pinned = word_logprob(Variant.POS_INDEPENDENT, entry, params, alphabet,
-                          eps=lambda: np.zeros(params.d)).item()
+    base = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet).logprob.item()
+    pinned = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet,
+                      eps=lambda: np.zeros(params.d)).logprob.item()
     assert base == pinned
-    noisy = word_logprob(Variant.POS_INDEPENDENT, entry, params, alphabet,
-                         eps=lambda: rng.normal(size=params.d)).item()
+    noisy = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet,
+                     eps=lambda: rng.normal(size=params.d)).logprob.item()
     assert noisy != base
 
 
-def test_greedy_decode_eos_rigged_gives_empty():
-    alphabet, params, _ = tiny_setup()
+def rig_eos_at_step_one(params, alphabet):
+    """Make the word of morpheme 0 end at step one, and with it every word
+    whose morpheme rows all equal row 0."""
     # first decoder state and UF for the single-morpheme word
     x = params.char_emb[alphabet.bos_id]
     h1, _, _ = lstm_step(params, input_share(params, x), np.zeros(params.d), np.zeros(params.d))
@@ -260,19 +263,43 @@ def test_greedy_decode_eos_rigged_gives_empty():
     # |feat|^2 > 0 while every other logit is 0, so EOS wins at step one
     params.readout_v[:] = 0.0
     params.readout_v[alphabet.eos_out, :] = feat
+
+
+def test_greedy_decode_eos_rigged_gives_empty():
+    alphabet, params, _ = tiny_setup()
+    rig_eos_at_step_one(params, alphabet)
     for variant in ALL_VARIANTS:
-        assert greedy_decode(variant, [0], params, alphabet, max_len=10) == ()
+        assert md.greedy_decode_batch(variant, [[0]], params, alphabet, max_len=10)[0] == ()
+
+
+def test_decode_memory_follows_steps_taken_not_max_len():
+    # every word ends at step one, so a length cap of 10^6 must cost no
+    # more than one of 15: no (words, max_len) block may be allocated
+    alphabet, params, _ = tiny_setup(n_morphs=4)
+    params.morph_emb[:] = params.morph_emb[0]
+    rig_eos_at_step_one(params, alphabet)
+    words = [[0], [2], [1, 3], [3, 0, 1]]
+    for variant in ALL_VARIANTS:
+        short = md.greedy_decode_batch(variant, words, params, alphabet, max_len=15)
+        tracemalloc.start()
+        try:
+            huge = md.greedy_decode_batch(variant, words, params, alphabet, max_len=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert huge == short == [()] * 4, variant
+        assert peak < 4 * 2**20, (variant, peak)
 
 
 def test_greedy_decode_deterministic_and_capped():
     alphabet, params, _ = tiny_setup(seed=14)
     for variant in ALL_VARIANTS:
-        a = greedy_decode(variant, [0, 2], params, alphabet, max_len=8)
-        b = greedy_decode(variant, [0, 2], params, alphabet, max_len=8)
+        a = md.greedy_decode_batch(variant, [[0, 2]], params, alphabet, max_len=8)[0]
+        b = md.greedy_decode_batch(variant, [[0, 2]], params, alphabet, max_len=8)[0]
         assert a == b
         assert len(a) <= 8
     with pytest.raises(DataError):
-        greedy_decode(Variant.JOINT, [0], params, alphabet, max_len=0)
+        md.greedy_decode_batch(Variant.JOINT, [[0]], params, alphabet, max_len=0)
 
 
 def test_morpheme_gradient_sparsity():
@@ -315,7 +342,7 @@ REF_WORDS = (LexiconEntry((0, 1), REF_ALPHABET.encode("bca")),
              LexiconEntry((2,), REF_ALPHABET.encode("dd")),
              LexiconEntry((3, 0, 1), REF_ALPHABET.encode("abcab")))
 
-# word_logprob of REF_WORDS under init_params(default_rng(1000 + d), 4
+# WordPass.logprob of REF_WORDS under init_params(default_rng(1000 + d), 4
 # morphemes, REF_ALPHABET, d), as computed by the per-character
 # tape-based implementation this model replaced: (noise-free, with the
 # eps sequence from default_rng(2000 + d).standard_normal((8, d)))
@@ -341,9 +368,9 @@ def test_word_logprob_matches_reference_values():
         variant = Variant.from_tag(tag)
         for entry, want_mean, want_noisy in zip(REF_WORDS, mean_ref, noisy_ref):
             draws = iter(np.random.default_rng(2000 + d).standard_normal((8, d)))
-            got_mean = word_logprob(variant, entry, params, REF_ALPHABET)
-            got_noisy = word_logprob(variant, entry, params, REF_ALPHABET,
-                                     eps=lambda: next(draws))
+            got_mean = WordPass(variant, entry, params, REF_ALPHABET).logprob
+            got_noisy = WordPass(variant, entry, params, REF_ALPHABET,
+                                 eps=lambda: next(draws)).logprob
             assert abs(got_mean - want_mean) <= 1e-10 * abs(want_mean), (d, tag, entry)
             assert abs(got_noisy - want_noisy) <= 1e-10 * abs(want_noisy), (d, tag, entry)
 
@@ -398,12 +425,13 @@ def test_lockstep_inference_matches_per_word():
     for variant in ALL_VARIANTS:
         spelled = md.greedy_decode_batch(variant, morphemes, params, alphabet, 5)
         assert spelled == [reference_decode(variant, m, params, alphabet, 5) for m in morphemes]
-        assert spelled == [greedy_decode(variant, m, params, alphabet, 5) for m in morphemes]
+        assert spelled == [md.greedy_decode_batch(variant, [m], params, alphabet, 5)[0]
+                           for m in morphemes]
         assert {0, 5} < {len(s) for s in spelled}, variant
         assert md.greedy_decode_batch(variant, morphemes, params, alphabet, 5) == spelled
 
         lps = md.batch_logprobs(variant, words, params, alphabet)
-        per_word = np.array([word_logprob(variant, w, params, alphabet) for w in words])
+        per_word = np.array([WordPass(variant, w, params, alphabet).logprob for w in words])
         assert np.all(np.abs(lps - per_word) <= 1e-10 * np.abs(per_word)), variant
         alone = np.array([md.batch_logprobs(variant, [w], params, alphabet)[0] for w in words])
         assert np.all(np.abs(lps - alone) <= 1e-12 * np.abs(alone)), variant

@@ -10,7 +10,7 @@ from vecphon import training as tr
 from vecphon.autodiff import Adam, clip_global_norm
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon.errors import ConfigError, TrainingError
-from vecphon.model import Variant, WordPass, init_params, word_logprob
+from vecphon.model import Variant, WordPass, init_params
 from vecphon.seeds import derive_rng
 from vecphon.training import (PlateauSchedule, TrainConfig, elbo_word_loss,
                               mean_dev_loss, train)
@@ -77,13 +77,13 @@ def test_elbo_identities():
     # joint variant: no latent, loss is exactly the negative log-likelihood
     loss = elbo_word_loss(Variant.JOINT, entry, params, alphabet,
                           np.random.default_rng(5)).item()
-    lp = word_logprob(Variant.JOINT, entry, params, alphabet).item()
+    lp = WordPass(Variant.JOINT, entry, params, alphabet).logprob.item()
     assert loss == pytest.approx(-lp, abs=1e-12)
     # pinned noise (rng None) reduces every variant to the mean objective
     for variant in ALL_VARIANTS:
         loss0 = elbo_word_loss(variant, entry, params, alphabet, None).item()
         assert loss0 == pytest.approx(
-            -word_logprob(variant, entry, params, alphabet).item(), abs=1e-12)
+            -WordPass(variant, entry, params, alphabet).logprob.item(), abs=1e-12)
 
 
 def test_single_sample_estimator_statistics():
