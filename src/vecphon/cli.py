@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -26,8 +27,8 @@ from .data import (SplitSpec, build_vocab, parse_unimorph_tsv, parse_weighted_ts
                    read_lines, read_split_manifest, sample_training_set,
                    split_paradigms, write_atomic, write_split_manifest)
 from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
-from .errors import CompatibilityError, ConfigError, DataError, VecphonError
-from .evaluation import EvalReport, evaluate, predict, resample_eval
+from .errors import CompatibilityError, ConfigError, DataError, TrainingError, VecphonError
+from .evaluation import evaluate, predict, resample_eval
 from .model import Variant
 from .seeds import derive_rng, derive_seed
 from .training import TrainConfig, train
@@ -96,29 +97,13 @@ def echo_config(ns, parser) -> None:
     write_atomic(os.path.join(ns.out_dir, "config.txt"), "\n".join(lines) + "\n")
 
 
-def parse_fracs(text) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"split fractions need 3 comma-separated numbers, got {text!r}")
+def parse_list(text, what, cast) -> list:
+    """An option's comma-separated values, each through ``cast``; blank
+    parts are skipped."""
     try:
-        a, b, c = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"bad split fractions {text!r}") from None
-    return a, b, c
-
-
-def parse_variants(text) -> list[Variant]:
-    try:
-        return [Variant.from_tag(tag.strip()) for tag in text.split(",")]
+        values = [cast(p.strip()) for p in text.split(",") if p.strip()]
     except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def parse_int_list(text, what) -> list[int]:
-    try:
-        values = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"bad {what} list {text!r}") from None
+        raise ConfigError(f"bad {what} list {text!r}: {e}") from None
     if not values:
         raise ConfigError(f"empty {what} list")
     return values
@@ -141,7 +126,9 @@ def load_corpus(ns):
 def resolve_split(ns, rows):
     if ns.split_manifest:
         return read_split_manifest(ns.split_manifest, len(rows))
-    fracs = parse_fracs(ns.split_fracs)
+    fracs = parse_list(ns.split_fracs, "split fractions", float)
+    if len(fracs) != 3:
+        raise ConfigError(f"need 3 split fractions, got {ns.split_fracs!r}")
     split_seed = derive_seed(ns.seed, "split")
     spec = SplitSpec(train_frac=fracs[0], dev_frac=fracs[1], test_frac=fracs[2],
                      seed=split_seed, coverage=ns.coverage)
@@ -158,13 +145,6 @@ def train_config(ns, variant, seed) -> TrainConfig:
     return TrainConfig(
         variant=variant, d=ns.dim, dropout=ns.dropout, lr=ns.lr, min_lr=ns.min_lr,
         patience=ns.patience, batch_size=ns.batch_size, max_epochs=ns.epochs, seed=seed)
-
-
-def check_symbols(forms, alphabet):
-    missing = sorted({c for form in forms for c in form} - set(alphabet.symbols))
-    if missing:
-        raise CompatibilityError(
-            "symbols absent from the checkpoint alphabet: " + ", ".join(repr(c) for c in missing))
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +231,23 @@ def cmd_predict(ns) -> None:
         print(text)
 
 
-def report_table(name, variant, rep: EvalReport) -> str:
-    header = f"{'run':<16} {'variant':<10} {'ACC':>7} {'MLD':>7} {'NLL':>7} {'unk':>4}"
-    row = (f"{name:<16} {variant.value:<10} {rep.accuracy:>7.1f} "
-           f"{rep.mean_levenshtein:>7.3f} {rep.mean_surprisal:>7.3f} {rep.n_unknown:>4}")
-    return header + "\n" + row
-
-
 def cmd_evaluate(ns) -> None:
     check_max_len(ns)
     params, variant, alphabet, vocab = load_model(ns)
     rows = load_corpus(ns)
     if ns.split_manifest:
         rows = [rows[i] for i in read_split_manifest(ns.split_manifest, len(rows))[2]]
-    check_symbols([r.form for r in rows], alphabet)
+    missing = sorted({c for r in rows for c in r.form} - set(alphabet.symbols))
+    if missing:
+        raise CompatibilityError(
+            "symbols absent from the checkpoint alphabet: " + ", ".join(repr(c) for c in missing))
     items = [(r.morphemes, r.form) for r in rows]
     rep = evaluate(variant, params, alphabet, vocab, items, ns.max_len)
 
     name = ns.run_name or os.path.splitext(os.path.basename(ns.data or ns.weighted_data))[0]
-    table = report_table(name, variant, rep)
+    table = (f"{'run':<16} {'variant':<10} {'ACC':>7} {'MLD':>7} {'NLL':>7} {'unk':>4}\n"
+             f"{name:<16} {variant.value:<10} {rep.accuracy:>7.1f} "
+             f"{rep.mean_levenshtein:>7.3f} {rep.mean_surprisal:>7.3f} {rep.n_unknown:>4}")
     print(table)
     write_atomic(os.path.join(ns.out_dir, "report.txt"), table + "\n")
     payload = {"run": name, "variant": variant.value,
@@ -294,34 +272,71 @@ def cmd_export_embeddings(ns) -> None:
     print(f"wrote {len(rows)} rows to {out_path}")
 
 
+def worker_count(cores: int, cells: int, environ) -> int:
+    """Processes for resample's cells: usable cores over BLAS threads per
+    process, at most one per cell. BLAS threads are read as OpenBLAS reads
+    them: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per core."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(var, "").strip()
+        if value.isdecimal() and int(value) >= 1:  # else unset, as empty or "abc"
+            return max(1, min(cores // int(value), cells))
+    return 1
+
+
+def _run_cell(*args):  # in a forked worker, whose pool initializer set _run_cell.cell
+    with np.errstate(all="ignore"):  # as main sets it in process
+        return _run_cell.cell(*args)
+
+
 def cmd_resample(ns) -> None:
     check_max_len(ns)
     if not ns.weighted_data:
         raise ConfigError("resample needs --weighted-data")
     rows = parse_weighted_tsv(ns.weighted_data)
     pool_idx, dev_idx, test_idx, _ = resolve_split(ns, rows)
-    sizes = parse_int_list(ns.sizes, "sizes")
+    sizes = parse_list(ns.sizes, "sizes", int)
     for k in sizes:
         if not 1 <= k <= len(pool_idx):
             raise ConfigError(f"size {k} is outside 1..{len(pool_idx)}, the sampling pool")
-    variants = parse_variants(ns.variants)
+    variants = parse_list(ns.variants, "variants", Variant.from_tag)
 
     alphabet, vocab = build_vocab([r.form for r in rows], [r.morphemes for r in rows])
     pool = [rows[i] for i in pool_idx]
     dev_entries = encode_rows([rows[i] for i in dev_idx], alphabet, vocab)
     test_items = [(rows[i].morphemes, rows[i].form) for i in test_idx]
 
+    def cell(variant, k, sub_seed):
+        chosen = sample_training_set(pool, k, np.random.default_rng(sub_seed))
+        params, _ = train(train_config(ns, variant, sub_seed),
+                          encode_rows(chosen, alphabet, vocab), dev_entries,
+                          alphabet, vocab)
+        return evaluate(variant, params, alphabet, vocab, test_items, ns.max_len)
+
+    # Every variant has the same (k, seed) cells: the first variant's map runs
+    # them all in forked workers, which inherit cell, its data and the BLAS
+    # thread count; later maps take their share. No sched_getaffinity, no fork.
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = worker_count(cores, len(variants) * len(sizes) * ns.resamples, os.environ)
+    reports = []
+
+    def pool_map(_, ks, seeds):
+        if not reports:
+            import multiprocessing  # here, so that the other commands do not load it
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork, initializer=setattr,
+                                     initargs=(_run_cell, "cell", cell)) as executor:
+                try:  # a failed cell cancels the pending ones; leaving the block joins
+                    reports.extend(executor.map(_run_cell, [v for v in variants for _ in ks],
+                                                ks * len(variants), seeds * len(variants)))
+                except BrokenProcessPool:
+                    raise TrainingError("a resample worker process died") from None
+        return [reports.pop(0) for _ in ks]
+
     lines = ["k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"]
     for variant in variants:
-        def protocol(k, sub_seed, variant=variant):
-            chosen = sample_training_set(pool, k, np.random.default_rng(sub_seed))
-            params, _ = train(train_config(ns, variant, sub_seed),
-                              encode_rows(chosen, alphabet, vocab), dev_entries,
-                              alphabet, vocab)
-            return evaluate(variant, params, alphabet, vocab, test_items, ns.max_len)
-
-        points = resample_eval(protocol, sizes, ns.resamples, ns.seed)
-        for p in points:
+        for p in resample_eval(functools.partial(cell, variant), sizes, ns.resamples, ns.seed,
+                               map=pool_map if workers > 1 else map):
             lines.append(f"{p.k}\t{variant.value}\t{p.acc_mean:.3f}\t{p.acc_sd:.3f}"
                          f"\t{p.mld_mean:.4f}\t{p.mld_sd:.4f}"
                          f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")

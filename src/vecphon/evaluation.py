@@ -139,19 +139,22 @@ class CurvePoint:
 
 def resample_eval(protocol: Callable[[int, int], EvalReport],
                   sizes: Sequence[int], n_resamples: int,
-                  seed: int) -> list[CurvePoint]:
+                  seed: int, map=map) -> list[CurvePoint]:
     """Expected-performance estimate: for each training size k, run the
     protocol (subsample, train, evaluate) n_resamples times under derived
-    seeds and aggregate each metric as mean and sample deviation."""
+    seeds and aggregate each metric as mean and sample deviation. The
+    (k, seed) cells go through ``map``, which must keep their order."""
     if n_resamples < 2:
         raise ConfigError(f"need at least 2 resamples, got {n_resamples}")
+    ks = [k for k in sizes for _ in range(n_resamples)]
+    seeds = [derive_seed(seed, f"resample-k{k}-r{r}") for k in sizes for r in range(n_resamples)]
+    reports = iter(map(protocol, ks, seeds))
     points = []
     for k in sizes:
-        reports = [protocol(k, derive_seed(seed, f"resample-k{k}-r{r}"))
-                   for r in range(n_resamples)]
-        acc = mean_sd([r.accuracy for r in reports])
-        mld = mean_sd([r.mean_levenshtein for r in reports])
-        nll = mean_sd([r.mean_surprisal for r in reports])
+        runs = [next(reports) for _ in range(n_resamples)]
+        acc = mean_sd([r.accuracy for r in runs])
+        mld = mean_sd([r.mean_levenshtein for r in runs])
+        nll = mean_sd([r.mean_surprisal for r in runs])
         points.append(CurvePoint(k, acc[0], acc[1], mld[0], mld[1], nll[0], nll[1]))
     return points
 

@@ -1,6 +1,8 @@
 """Command-line interface: artifacts, exit statuses, config layering."""
 
+import concurrent.futures.process
 import json
+import multiprocessing
 import os
 import warnings
 
@@ -8,6 +10,7 @@ import numpy as np
 
 import synthlang
 from vecphon.checkpoint import load_checkpoint
+from vecphon import cli
 from vecphon.cli import build_parser, main
 from vecphon.evaluation import surprisals
 from vecphon.vocab import encode_entry
@@ -258,6 +261,102 @@ def test_resample_size_beyond_pool_is_config_error(tmp_path):
     rc = main(["resample", "--weighted-data", str(wdata), "--sizes", "5000",
                "--resamples", "2", "--out-dir", str(tmp_path / "rs")])
     assert rc == 2
+
+
+def resample_argv(tmp_path, out_name, *extra):
+    wdata = tmp_path / "w.tsv"
+    if not wdata.exists():
+        synthlang.write_weighted_tsv(wdata, synthlang.harmony_slots(6, 4),
+                                     np.random.default_rng(0))
+    return ["resample", "--weighted-data", str(wdata), "--sizes", "4,8", "--resamples", "2",
+            "--dim", "8", "--epochs", "2", "--out-dir", str(tmp_path / out_name), *extra]
+
+
+def two_cores(monkeypatch):
+    """Two usable cores; returns the worker counts of the process pools
+    that resample starts from then on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pools = []
+
+    class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_worker_count_follows_cores_over_blas_threads():
+    assert cli.worker_count(4, 10, {}) == 1  # unpinned: BLAS takes every core
+    assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": "1"}) == 4
+    assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": "2"}) == 2
+    assert cli.worker_count(4, 10, {"OMP_NUM_THREADS": "1"}) == 4
+    assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}) == 1
+    for unset in ("0", "-1", "abc", "", " ", "1.5"):  # counts as unset
+        assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": unset}) == 1
+        assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": unset,
+                                        "OMP_NUM_THREADS": "2"}) == 2
+    assert cli.worker_count(8, 3, {"OPENBLAS_NUM_THREADS": "1"}) == 3  # fewer cells
+    assert cli.worker_count(2, 10, {"OPENBLAS_NUM_THREADS": "64"}) == 1
+    for cores in (1, 2, 3, 8):
+        for cells in (1, 2, 5, 20):
+            for threads in ("1", "2", "3", "64", "", "x"):
+                n = cli.worker_count(cores, cells, {"OPENBLAS_NUM_THREADS": threads})
+                assert 1 <= n <= min(cores, cells)
+
+
+def test_resample_output_does_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
+    variants = ("--variants", "pos-indep,pos-dep,joint")
+    pools = two_cores(monkeypatch)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "64")
+    assert main(resample_argv(tmp_path, "serial", *variants)) == 0
+    serial_out = capsys.readouterr().out
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert main(resample_argv(tmp_path, "unpinned", *variants)) == 0
+    capsys.readouterr()
+    assert pools == []  # an unpinned run never forks
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert main(resample_argv(tmp_path, "forked", *variants)) == 0
+    assert pools == [2]
+    assert capsys.readouterr().out == serial_out
+    curves = [(tmp_path / d / "curve.tsv").read_bytes() for d in ("serial", "forked")]
+    assert curves[0] == curves[1]
+    assert len(curves[0].splitlines()) == 1 + 2 * 3
+    assert multiprocessing.active_children() == []
+
+
+def test_resample_worker_failures_end_in_one_error_line(tmp_path, monkeypatch, capfd):
+    pools = two_cores(monkeypatch)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "64")
+    assert main(resample_argv(tmp_path, "serial", "--lr", "1e300")) == 1
+    serial_err = capfd.readouterr().err
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert main(resample_argv(tmp_path, "forked", "--lr", "1e300")) == 1
+    out, err = capfd.readouterr()
+    assert err == serial_err and err.startswith("error: TrainingError: ")
+    assert len(err.splitlines()) == 1 and "RuntimeWarning" not in err
+
+    test_process = os.getpid()
+
+    def run_out_of_memory(*args, **kwargs):
+        assert os.getpid() != test_process, "the cell ran in the test process"
+        raise MemoryError
+
+    def die(*args, **kwargs):
+        assert os.getpid() != test_process, "the cell ran in the test process"
+        os._exit(3)
+
+    for failing_train, message in ((run_out_of_memory, "error: MemoryError: out of memory"),
+                                   (die, "error: TrainingError: a resample worker process died")):
+        monkeypatch.setattr(cli, "train", failing_train)
+        assert main(resample_argv(tmp_path, "forked")) == 1
+        out, err = capfd.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith(message), err
+        assert "Traceback" not in out + err
+    assert pools == [2, 2, 2]
+    assert multiprocessing.active_children() == []
 
 
 def write_manifest(directory, **files):

@@ -11,6 +11,7 @@ from vecphon.evaluation import (EvalReport, evaluate, levenshtein, mean_sd,
                                 paired_permutation_test, predict, resample_eval,
                                 surprisals)
 from vecphon.model import Variant, WordPass, greedy_decode_batch, init_params
+from vecphon.seeds import derive_seed
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab
 
 
@@ -175,6 +176,26 @@ def test_resample_eval_seed_isolation():
 
     resample_eval(protocol, sizes=[2, 3], n_resamples=2, seed=1)
     assert len(set(seeds_seen)) == 4  # every (k, resample) cell distinct
+
+
+def test_resample_eval_maps_cells_in_order():
+    def protocol(k, seed):
+        # metrics that vary with the seed, so a reordered cell would show
+        return EvalReport(accuracy=float(seed % 97), mean_levenshtein=float(k),
+                          mean_surprisal=(seed % 89) / 7.0, n_items=1, n_unknown=0)
+
+    calls = []
+
+    def recording_map(fn, ks, seeds):
+        calls.append((list(ks), list(seeds)))
+        return [fn(k, s) for k, s in zip(ks, seeds)]
+
+    points = resample_eval(protocol, sizes=[3, 5], n_resamples=2, seed=4, map=recording_map)
+    assert points == resample_eval(protocol, sizes=[3, 5], n_resamples=2, seed=4)
+    assert len(calls) == 1
+    ks, seeds = calls[0]
+    assert ks == [3, 3, 5, 5]
+    assert seeds == [derive_seed(4, f"resample-k{k}-r{r}") for k in (3, 5) for r in range(2)]
 
 
 # ---------------------------------------------------------------------------
