@@ -13,6 +13,7 @@ problem.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -28,7 +29,7 @@ from .data import (SplitSpec, build_vocab, parse_unimorph_tsv, parse_weighted_ts
                    split_paradigms, write_atomic, write_split_manifest)
 from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
 from .errors import CompatibilityError, ConfigError, DataError, TrainingError, VecphonError
-from .evaluation import evaluate, predict, resample_eval
+from .evaluation import EvalReport, evaluate, predict, resample_eval
 from .model import Variant
 from .seeds import derive_rng, derive_seed
 from .training import TrainConfig, train
@@ -97,13 +98,29 @@ def echo_config(ns, parser) -> None:
     write_atomic(os.path.join(ns.out_dir, "config.txt"), "\n".join(lines) + "\n")
 
 
-def parse_list(text, what, cast) -> list:
-    """An option's comma-separated values, each through ``cast``; blank
-    parts are skipped."""
+def parse_fracs(text) -> tuple[float, float, float]:
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ConfigError(f"split fractions need 3 comma-separated numbers, got {text!r}")
     try:
-        values = [cast(p.strip()) for p in text.split(",") if p.strip()]
+        a, b, c = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"bad split fractions {text!r}") from None
+    return a, b, c
+
+
+def parse_variants(text) -> list[Variant]:
+    try:
+        return [Variant.from_tag(tag.strip()) for tag in text.split(",")]
     except ValueError as e:
-        raise ConfigError(f"bad {what} list {text!r}: {e}") from None
+        raise ConfigError(str(e)) from None
+
+
+def parse_int_list(text, what) -> list[int]:
+    try:
+        values = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ConfigError(f"bad {what} list {text!r}") from None
     if not values:
         raise ConfigError(f"empty {what} list")
     return values
@@ -126,9 +143,7 @@ def load_corpus(ns):
 def resolve_split(ns, rows):
     if ns.split_manifest:
         return read_split_manifest(ns.split_manifest, len(rows))
-    fracs = parse_list(ns.split_fracs, "split fractions", float)
-    if len(fracs) != 3:
-        raise ConfigError(f"need 3 split fractions, got {ns.split_fracs!r}")
+    fracs = parse_fracs(ns.split_fracs)
     split_seed = derive_seed(ns.seed, "split")
     spec = SplitSpec(train_frac=fracs[0], dev_frac=fracs[1], test_frac=fracs[2],
                      seed=split_seed, coverage=ns.coverage)
@@ -145,6 +160,13 @@ def train_config(ns, variant, seed) -> TrainConfig:
     return TrainConfig(
         variant=variant, d=ns.dim, dropout=ns.dropout, lr=ns.lr, min_lr=ns.min_lr,
         patience=ns.patience, batch_size=ns.batch_size, max_epochs=ns.epochs, seed=seed)
+
+
+def check_symbols(forms, alphabet):
+    missing = sorted({c for form in forms for c in form} - set(alphabet.symbols))
+    if missing:
+        raise CompatibilityError(
+            "symbols absent from the checkpoint alphabet: " + ", ".join(repr(c) for c in missing))
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +253,25 @@ def cmd_predict(ns) -> None:
         print(text)
 
 
+def report_table(name, variant, rep: EvalReport) -> str:
+    header = f"{'run':<16} {'variant':<10} {'ACC':>7} {'MLD':>7} {'NLL':>7} {'unk':>4}"
+    row = (f"{name:<16} {variant.value:<10} {rep.accuracy:>7.1f} "
+           f"{rep.mean_levenshtein:>7.3f} {rep.mean_surprisal:>7.3f} {rep.n_unknown:>4}")
+    return header + "\n" + row
+
+
 def cmd_evaluate(ns) -> None:
     check_max_len(ns)
     params, variant, alphabet, vocab = load_model(ns)
     rows = load_corpus(ns)
     if ns.split_manifest:
         rows = [rows[i] for i in read_split_manifest(ns.split_manifest, len(rows))[2]]
-    missing = sorted({c for r in rows for c in r.form} - set(alphabet.symbols))
-    if missing:
-        raise CompatibilityError(
-            "symbols absent from the checkpoint alphabet: " + ", ".join(repr(c) for c in missing))
+    check_symbols([r.form for r in rows], alphabet)
     items = [(r.morphemes, r.form) for r in rows]
     rep = evaluate(variant, params, alphabet, vocab, items, ns.max_len)
 
     name = ns.run_name or os.path.splitext(os.path.basename(ns.data or ns.weighted_data))[0]
-    table = (f"{'run':<16} {'variant':<10} {'ACC':>7} {'MLD':>7} {'NLL':>7} {'unk':>4}\n"
-             f"{name:<16} {variant.value:<10} {rep.accuracy:>7.1f} "
-             f"{rep.mean_levenshtein:>7.3f} {rep.mean_surprisal:>7.3f} {rep.n_unknown:>4}")
+    table = report_table(name, variant, rep)
     print(table)
     write_atomic(os.path.join(ns.out_dir, "report.txt"), table + "\n")
     payload = {"run": name, "variant": variant.value,
@@ -288,17 +312,45 @@ def _run_cell(*args):  # in a forked worker, whose pool initializer set _run_cel
         return _run_cell.cell(*args)
 
 
+def _start_worker(cell, parent) -> None:
+    """Pool initializer: the kernel kills the worker when the process that
+    forked it ends, however it ends (PR_SET_PDEATHSIG), so none outlives it."""
+    import ctypes
+    import signal
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    if prctl(1, signal.SIGKILL) != 0 or os.getppid() != parent:  # 1 is PR_SET_PDEATHSIG
+        os._exit(1)  # the parent may have ended before prctl
+    _run_cell.cell = cell
+
+
+@contextlib.contextmanager
+def fork_pool(workers, cell):
+    """A pool of forked workers that run ``cell`` through _run_cell; they
+    inherit it, its data and the BLAS thread count, so only the arguments and
+    the result are pickled. The pool forks them all before it starts its own
+    threads. Leaving joins every worker."""
+    import multiprocessing  # here, so that the other commands do not load it
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker, initargs=(cell, os.getpid())) as executor:
+        try:
+            yield executor
+        except BrokenProcessPool:
+            raise TrainingError("a resample worker process died") from None
+
+
 def cmd_resample(ns) -> None:
     check_max_len(ns)
     if not ns.weighted_data:
         raise ConfigError("resample needs --weighted-data")
     rows = parse_weighted_tsv(ns.weighted_data)
     pool_idx, dev_idx, test_idx, _ = resolve_split(ns, rows)
-    sizes = parse_list(ns.sizes, "sizes", int)
+    sizes = parse_int_list(ns.sizes, "sizes")
     for k in sizes:
         if not 1 <= k <= len(pool_idx):
             raise ConfigError(f"size {k} is outside 1..{len(pool_idx)}, the sampling pool")
-    variants = parse_list(ns.variants, "variants", Variant.from_tag)
+    variants = parse_variants(ns.variants)
 
     alphabet, vocab = build_vocab([r.form for r in rows], [r.morphemes for r in rows])
     pool = [rows[i] for i in pool_idx]
@@ -312,34 +364,20 @@ def cmd_resample(ns) -> None:
                           alphabet, vocab)
         return evaluate(variant, params, alphabet, vocab, test_items, ns.max_len)
 
-    # Every variant has the same (k, seed) cells: the first variant's map runs
-    # them all in forked workers, which inherit cell, its data and the BLAS
-    # thread count; later maps take their share. No sched_getaffinity, no fork.
+    # where sched_getaffinity is missing, count one core and do not fork
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = worker_count(cores, len(variants) * len(sizes) * ns.resamples, os.environ)
-    reports = []
-
-    def pool_map(_, ks, seeds):
-        if not reports:
-            import multiprocessing  # here, so that the other commands do not load it
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork, initializer=setattr,
-                                     initargs=(_run_cell, "cell", cell)) as executor:
-                try:  # a failed cell cancels the pending ones; leaving the block joins
-                    reports.extend(executor.map(_run_cell, [v for v in variants for _ in ks],
-                                                ks * len(variants), seeds * len(variants)))
-                except BrokenProcessPool:
-                    raise TrainingError("a resample worker process died") from None
-        return [reports.pop(0) for _ in ks]
-
+    workers = worker_count(cores, len(sizes) * ns.resamples, os.environ)
     lines = ["k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"]
-    for variant in variants:
-        for p in resample_eval(functools.partial(cell, variant), sizes, ns.resamples, ns.seed,
-                               map=pool_map if workers > 1 else map):
-            lines.append(f"{p.k}\t{variant.value}\t{p.acc_mean:.3f}\t{p.acc_sd:.3f}"
-                         f"\t{p.mld_mean:.4f}\t{p.mld_sd:.4f}"
-                         f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")
+    with fork_pool(workers, cell) if workers > 1 else contextlib.nullcontext() as executor:
+        for variant in variants:
+            # a failed cell cancels the variant's pending cells
+            cells = map if executor is None else (
+                lambda _, ks, seeds, v=variant: executor.map(_run_cell, [v] * len(ks), ks, seeds))
+            for p in resample_eval(functools.partial(cell, variant), sizes, ns.resamples,
+                                   ns.seed, map=cells):
+                lines.append(f"{p.k}\t{variant.value}\t{p.acc_mean:.3f}\t{p.acc_sd:.3f}"
+                             f"\t{p.mld_mean:.4f}\t{p.mld_sd:.4f}"
+                             f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")
     text = "\n".join(lines)
     print(text)
     write_atomic(os.path.join(ns.out_dir, "curve.tsv"), text + "\n")

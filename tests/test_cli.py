@@ -4,9 +4,14 @@ import concurrent.futures.process
 import json
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
+import pytest
 
 import synthlang
 from vecphon.checkpoint import load_checkpoint
@@ -357,6 +362,60 @@ def test_resample_worker_failures_end_in_one_error_line(tmp_path, monkeypatch, c
         assert "Traceback" not in out + err
     assert pools == [2, 2, 2]
     assert multiprocessing.active_children() == []
+
+
+# A resample on two cores whose workers record their pids and then block.
+KILLED_RESAMPLE = """
+import json, os, sys, time
+from vecphon import cli
+os.sched_getaffinity = lambda pid: {0, 1}
+def train(*args, **kwargs):
+    with open(sys.argv[1], "a") as f:
+        f.write(f"{os.getpid()}\\n")
+    time.sleep(600)
+cli.train = train
+cli.main(json.loads(sys.argv[2]))
+"""
+
+
+def running(pid):
+    """Whether pid is a live process: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_killed_resample_leaves_no_worker(tmp_path, sig):
+    pid_file = tmp_path / "workers"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(cli.__file__) + "/..",
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_RESAMPLE, str(pid_file),
+                             json.dumps(resample_argv(tmp_path, "out"))],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            workers = pid_file.read_text().split() if pid_file.exists() else []
+        assert len(workers) == 2, "resample did not start two workers"
+        proc.send_signal(sig)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(running(int(pid)) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(int(pid)) for pid in workers), "a worker outlived resample"
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if running(int(pid)):
+                os.kill(int(pid), signal.SIGKILL)
 
 
 def write_manifest(directory, **files):
