@@ -105,7 +105,7 @@ def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab
         raise CheckpointError(f"unsupported format version {version}")
     tag = r.string("variant tag")
     try:
-        variant = Variant.from_tag(tag)
+        variant = Variant(tag)
     except ValueError as e:
         raise CheckpointError(str(e)) from None
     d = r.u32("hidden size")

@@ -98,32 +98,19 @@ def echo_config(ns, parser) -> None:
     write_atomic(os.path.join(ns.out_dir, "config.txt"), "\n".join(lines) + "\n")
 
 
-def parse_fracs(text) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"split fractions need 3 comma-separated numbers, got {text!r}")
+def parse_list(text, item, what, n=None) -> list:
+    """The values of a comma-separated option, each stripped and read by
+    ``item``. A count other than ``n``, a blank value or a ValueError from
+    ``item`` is a ConfigError; other errors of ``item`` pass through."""
+    parts = [p.strip() for p in text.split(",")]
+    if n is not None and len(parts) != n:
+        raise ConfigError(f"{what} need {n} comma-separated values, got {text!r}")
+    if "" in parts:
+        raise ConfigError(f"bad {what} {text!r}: blank value")
     try:
-        a, b, c = (float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"bad split fractions {text!r}") from None
-    return a, b, c
-
-
-def parse_variants(text) -> list[Variant]:
-    try:
-        return [Variant.from_tag(tag.strip()) for tag in text.split(",")]
+        return [item(p) for p in parts]
     except ValueError as e:
-        raise ConfigError(str(e)) from None
-
-
-def parse_int_list(text, what) -> list[int]:
-    try:
-        values = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"bad {what} list {text!r}") from None
-    if not values:
-        raise ConfigError(f"empty {what} list")
-    return values
+        raise ConfigError(f"bad {what} {text!r}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +130,7 @@ def load_corpus(ns):
 def resolve_split(ns, rows):
     if ns.split_manifest:
         return read_split_manifest(ns.split_manifest, len(rows))
-    fracs = parse_fracs(ns.split_fracs)
+    fracs = parse_list(ns.split_fracs, float, "split fractions", 3)
     split_seed = derive_seed(ns.seed, "split")
     spec = SplitSpec(train_frac=fracs[0], dev_frac=fracs[1], test_frac=fracs[2],
                      seed=split_seed, coverage=ns.coverage)
@@ -184,7 +171,7 @@ def cmd_train(ns) -> None:
     train_entries = encode_rows(train_rows, alphabet, vocab)
     dev_entries = encode_rows([rows[i] for i in dev_idx], alphabet, vocab)
 
-    config = train_config(ns, Variant.from_tag(ns.variant), ns.seed)
+    config = train_config(ns, Variant(ns.variant), ns.seed)
     params, log = train(config, train_entries, dev_entries, alphabet, vocab)
 
     save_checkpoint(os.path.join(ns.out_dir, "checkpoint.vpck"),
@@ -284,10 +271,7 @@ def cmd_evaluate(ns) -> None:
 def cmd_export_embeddings(ns) -> None:
     params, variant, alphabet, vocab = load_model(ns)
     if ns.similarity:
-        parts = ns.similarity.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"--similarity needs two comma-separated identifiers, got {ns.similarity!r}")
-        a, b = (params.morph_emb[vocab.index(p)] for p in parts)
+        a, b = params.morph_emb[parse_list(ns.similarity, vocab.index, "--similarity identifiers", 2)]
         print(f"{cosine(a, b):.6f}")
         return
     rows = export_rows(params, vocab, ns.projection)
@@ -308,8 +292,7 @@ def worker_count(cores: int, cells: int, environ) -> int:
 
 
 def _run_cell(*args):  # in a forked worker, whose pool initializer set _run_cell.cell
-    with np.errstate(all="ignore"):  # as main sets it in process
-        return _run_cell.cell(*args)
+    return _run_cell.cell(*args)  # under main's np.errstate, which the fork inherits
 
 
 def _start_worker(cell, parent) -> None:
@@ -346,11 +329,11 @@ def cmd_resample(ns) -> None:
         raise ConfigError("resample needs --weighted-data")
     rows = parse_weighted_tsv(ns.weighted_data)
     pool_idx, dev_idx, test_idx, _ = resolve_split(ns, rows)
-    sizes = parse_int_list(ns.sizes, "sizes")
+    sizes = parse_list(ns.sizes, int, "sizes list")
     for k in sizes:
         if not 1 <= k <= len(pool_idx):
             raise ConfigError(f"size {k} is outside 1..{len(pool_idx)}, the sampling pool")
-    variants = parse_variants(ns.variants)
+    variants = parse_list(ns.variants, Variant, "variants list")
 
     alphabet, vocab = build_vocab([r.form for r in rows], [r.morphemes for r in rows])
     pool = [rows[i] for i in pool_idx]
@@ -371,10 +354,9 @@ def cmd_resample(ns) -> None:
     with fork_pool(workers, cell) if workers > 1 else contextlib.nullcontext() as executor:
         for variant in variants:
             # a failed cell cancels the variant's pending cells
-            cells = map if executor is None else (
-                lambda _, ks, seeds, v=variant: executor.map(_run_cell, [v] * len(ks), ks, seeds))
-            for p in resample_eval(functools.partial(cell, variant), sizes, ns.resamples,
-                                   ns.seed, map=cells):
+            protocol = functools.partial(cell if executor is None else _run_cell, variant)
+            for p in resample_eval(protocol, sizes, ns.resamples, ns.seed,
+                                   map=map if executor is None else executor.map):
                 lines.append(f"{p.k}\t{variant.value}\t{p.acc_mean:.3f}\t{p.acc_sd:.3f}"
                              f"\t{p.mld_mean:.4f}\t{p.mld_sd:.4f}"
                              f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")

@@ -184,18 +184,12 @@ def split_paradigms(slots: Sequence[tuple[str, ...]],
     rng = np.random.default_rng(spec.seed)
     order = rng.permutation(n)
 
-    if not spec.coverage:
-        dev = sorted(int(i) for i in order[:n_dev])
-        test = sorted(int(i) for i in order[n_dev:n_dev + n_test])
-        train = sorted(int(i) for i in order[n_dev + n_test:])
-        return train, dev, test
-
     covered: set[str] = set()
     anchors: list[int] = []
     floaters: list[int] = []
     for i in order:
         i = int(i)
-        if any(m not in covered for m in slots[i]):
+        if spec.coverage and any(m not in covered for m in slots[i]):
             anchors.append(i)
             covered.update(slots[i])
         else:
@@ -219,7 +213,7 @@ def build_vocab(forms: Iterable[str],
                 morpheme_seqs: Iterable[tuple[str, ...]]) -> tuple[Alphabet, MorphemeVocab]:
     """Inventories over the whole corpus (all splits), sorted, so held-out
     forms stay representable and construction is order-independent."""
-    alphabet = Alphabet.from_corpus(forms)
+    alphabet = Alphabet(c for form in forms for c in form)
     vocab = MorphemeVocab(m for seq in morpheme_seqs for m in seq)
     return alphabet, vocab
 

@@ -51,10 +51,7 @@ class Variant(enum.Enum):
     JOINT = "joint"
 
     @classmethod
-    def from_tag(cls, tag: str) -> "Variant":
-        for v in cls:
-            if v.value == tag:
-                return v
+    def _missing_(cls, tag):  # Variant(tag) of an unknown tag
         raise ValueError(f"unknown variant tag {tag!r}; choose from "
                          + ", ".join(v.value for v in cls))
 

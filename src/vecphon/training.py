@@ -129,11 +129,7 @@ def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
     to zero, which is the deterministic dev/eval objective. With
     ``grads`` given, the loss's gradient is added into it.
     """
-    if variant is Variant.JOINT or rng is None:
-        eps = None
-    else:
-        d = params.d
-        eps = lambda: rng.standard_normal(d)
+    eps = None if rng is None else (lambda: rng.standard_normal(params.d))
     word = WordPass(variant, entry, params, alphabet, eps=eps,
                     dropout=dropout, drop_rng=drop_rng)
     if grads is not None:

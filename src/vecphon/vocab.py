@@ -34,13 +34,6 @@ class Alphabet:
         self.symbols: tuple[str, ...] = tuple(uniq)
         self._index = {s: i for i, s in enumerate(self.symbols)}
 
-    @classmethod
-    def from_corpus(cls, forms: Iterable[str]) -> "Alphabet":
-        chars = set()
-        for form in forms:
-            chars.update(form)
-        return cls(chars)
-
     @property
     def size(self) -> int:
         return len(self.symbols)

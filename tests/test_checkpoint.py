@@ -71,6 +71,12 @@ def test_corruption_detected(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(bad_version)
 
+    assert raw.count(b"pos-indep") == 1
+    bad_tag = tmp_path / "tag.vpck"  # same length, so only the tag is wrong
+    bad_tag.write_bytes(raw.replace(b"pos-indep", b"pos-indeq"))
+    with pytest.raises(CheckpointError, match="unknown variant tag 'pos-indeq'"):
+        load_checkpoint(bad_tag)
+
 
 def test_tensor_list_must_follow_param_shapes(tmp_path):
     """The tensors must be the fields, in order, at their shapes; the

@@ -541,6 +541,53 @@ def test_exit_codes(tmp_path, capsys):
             assert needle[0] in errors[0], (argv, err)
 
 
+# each comma-separated option with a blank value, a bad value and a wrong
+# count: (option, text, exit status, text of its one error line)
+LIST_OPTION_CASES = [
+    ("split-fracs", "0.8,,0.1", 2, "config: bad split fractions '0.8,,0.1': blank value"),
+    ("split-fracs", "0.8,x,0.1", 2, "config: bad split fractions '0.8,x,0.1': could not convert"),
+    ("split-fracs", "0.8,0.2", 2,
+     "config: split fractions need 3 comma-separated values, got '0.8,0.2'"),
+    ("sizes", "4,,8", 2, "config: bad sizes list '4,,8': blank value"),
+    ("sizes", "4,x", 2, "config: bad sizes list '4,x': invalid literal for int()"),
+    ("sizes", "", 2, "config: bad sizes list '': blank value"),
+    ("variants", "pos-indep,", 2, "config: bad variants list 'pos-indep,': blank value"),
+    ("variants", "pos-indep,mystery", 2,
+     "config: bad variants list 'pos-indep,mystery': unknown variant tag 'mystery'; "
+     "choose from pos-indep, pos-dep, joint"),
+    ("variants", "", 2, "config: bad variants list '': blank value"),
+    ("similarity", "suf0,", 2, "config: bad --similarity identifiers 'suf0,': blank value"),
+    ("similarity", "suf0,nope", 1, "VocabularyError: unknown morpheme 'nope'"),
+    ("similarity", "suf0,suf1,suf2", 2,
+     "config: --similarity identifiers need 2 comma-separated values, got 'suf0,suf1,suf2'"),
+]
+
+
+def test_list_options_reject_blank_bad_and_miscounted_values(tmp_path, capsys):
+    data, out = train_toy(tmp_path)
+    wdata = tmp_path / "w.tsv"
+    synthlang.write_weighted_tsv(wdata, synthlang.harmony_slots(6, 4),
+                                 np.random.default_rng(0))
+    x = str(tmp_path / "x")
+    runs = {"split-fracs": ["train", "--data", data, "--dim", "8", "--epochs", "1"],
+            "sizes": ["resample", "--weighted-data", str(wdata)],
+            "variants": ["resample", "--weighted-data", str(wdata), "--sizes", "4"],
+            "similarity": ["export-embeddings",
+                           "--checkpoint", os.path.join(out, "checkpoint.vpck")]}
+    for i, (option, text, code, message) in enumerate(LIST_OPTION_CASES):
+        cfg = tmp_path / f"list-{i}.cfg"
+        cfg.write_text(f"{option}={text}\n")
+        argvs = [runs[option] + [f"--{option}={text}", "--out-dir", x]]
+        if text:  # an empty config value leaves the option unset
+            argvs.append(runs[option] + ["--config", str(cfg), "--out-dir", x])
+        for argv in argvs:
+            capsys.readouterr()
+            assert main(argv) == code, argv
+            errors = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("error:")]
+            assert len(errors) == 1 and errors[0].startswith("error: " + message), (argv, errors)
+
+
 def test_directory_inputs_are_data_errors(tmp_path, capsys):
     # a directory given where a text file is expected: a corpus, --input,
     # --config or a split-manifest file (here m/test.idx)

@@ -218,6 +218,11 @@ def test_split_without_coverage_leaves_quota_alone():
     slots = toy_slots(5, 4)
     train, dev, test = split_paradigms(slots, SplitSpec(seed=3, coverage=False))
     assert (len(train), len(dev), len(test)) == (16, 2, 2)
+    # nothing is anchored: dev, test and train are consecutive slices of the order
+    order = [int(i) for i in np.random.default_rng(3).permutation(len(slots))]
+    assert dev == sorted(order[:2])
+    assert test == sorted(order[2:4])
+    assert train == sorted(order[4:])
 
 
 def test_split_spec_validation():

@@ -327,11 +327,11 @@ def test_default_max_len():
 
 
 def test_variant_tags():
-    assert Variant.from_tag("pos-indep") is Variant.POS_INDEPENDENT
-    assert Variant.from_tag("pos-dep") is Variant.POS_DEPENDENT
-    assert Variant.from_tag("joint") is Variant.JOINT
+    assert Variant("pos-indep") is Variant.POS_INDEPENDENT
+    assert Variant("pos-dep") is Variant.POS_DEPENDENT
+    assert Variant("joint") is Variant.JOINT
     with pytest.raises(ValueError):
-        Variant.from_tag("mystery")
+        Variant("mystery")
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +365,7 @@ REF_LOGPROBS = {
 def test_word_logprob_matches_reference_values():
     for (d, tag), (mean_ref, noisy_ref) in REF_LOGPROBS.items():
         params = init_params(np.random.default_rng(1000 + d), 4, REF_ALPHABET, d)
-        variant = Variant.from_tag(tag)
+        variant = Variant(tag)
         for entry, want_mean, want_noisy in zip(REF_WORDS, mean_ref, noisy_ref):
             draws = iter(np.random.default_rng(2000 + d).standard_normal((8, d)))
             got_mean = WordPass(variant, entry, params, REF_ALPHABET).logprob

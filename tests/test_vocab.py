@@ -9,7 +9,7 @@ from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
 
 
 def test_alphabet_sorted_and_reserved_layout():
-    a = Alphabet.from_corpus(["ban", "cab"])
+    a = Alphabet("bancab")
     assert a.symbols == ("a", "b", "c", "n")
     assert a.size == 4
     assert a.bos_id == 4
@@ -19,17 +19,17 @@ def test_alphabet_sorted_and_reserved_layout():
 
 def test_alphabet_round_trip_is_identity():
     forms = ["ran", "running", "banana"]
-    a = Alphabet.from_corpus(forms)
+    a = Alphabet("".join(forms))
     for f in forms:
         assert a.decode(a.encode(f)) == f
 
 
 def test_alphabet_order_independent():
-    assert Alphabet.from_corpus(["ab", "cd"]) == Alphabet.from_corpus(["dc", "ba"])
+    assert Alphabet("abcd") == Alphabet("dcba")
 
 
 def test_alphabet_rejects_unknown_and_reserved():
-    a = Alphabet.from_corpus(["ab"])
+    a = Alphabet("ab")
     with pytest.raises(VocabularyError):
         a.encode("abc")
     with pytest.raises(VocabularyError):
@@ -52,7 +52,7 @@ def test_morpheme_vocab_sorted_unique():
 
 
 def test_encode_entry_validates():
-    a = Alphabet.from_corpus(["ran"])
+    a = Alphabet("ran")
     v = MorphemeVocab(["run", "V;PST"])
     e = encode_entry(a, v, ["run", "V;PST"], "ran")
     assert e == LexiconEntry(morphemes=(1, 0), form=a.encode("ran"))
