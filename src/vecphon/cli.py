@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -270,7 +269,7 @@ def cmd_evaluate(ns) -> None:
 
 def cmd_export_embeddings(ns) -> None:
     params, variant, alphabet, vocab = load_model(ns)
-    if ns.similarity:
+    if ns.similarity is not None:
         a, b = params.morph_emb[parse_list(ns.similarity, vocab.index, "--similarity identifiers", 2)]
         print(f"{cosine(a, b):.6f}")
         return
@@ -349,17 +348,16 @@ def cmd_resample(ns) -> None:
 
     # where sched_getaffinity is missing, count one core and do not fork
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = worker_count(cores, len(sizes) * ns.resamples, os.environ)
-    lines = ["k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"]
+    workers = worker_count(cores, len(variants) * len(sizes) * ns.resamples, os.environ)
     with fork_pool(workers, cell) if workers > 1 else contextlib.nullcontext() as executor:
-        for variant in variants:
-            # a failed cell cancels the variant's pending cells
-            protocol = functools.partial(cell if executor is None else _run_cell, variant)
-            for p in resample_eval(protocol, sizes, ns.resamples, ns.seed,
-                                   map=map if executor is None else executor.map):
-                lines.append(f"{p.k}\t{variant.value}\t{p.acc_mean:.3f}\t{p.acc_sd:.3f}"
-                             f"\t{p.mld_mean:.4f}\t{p.mld_sd:.4f}"
-                             f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")
+        # a failed cell cancels every pending cell
+        points = resample_eval(cell if executor is None else _run_cell, variants, sizes,
+                               ns.resamples, ns.seed, map=map if executor is None else executor.map)
+    lines = ["k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"]
+    for p in points:
+        lines.append(f"{p.k}\t{p.variant.value}\t{p.acc_mean:.3f}\t{p.acc_sd:.3f}"
+                     f"\t{p.mld_mean:.4f}\t{p.mld_sd:.4f}"
+                     f"\t{p.nll_mean:.4f}\t{p.nll_sd:.4f}")
     text = "\n".join(lines)
     print(text)
     write_atomic(os.path.join(ns.out_dir, "curve.tsv"), text + "\n")
@@ -379,11 +377,6 @@ class ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(2, f"error: usage: {self.prog}: {message}\n")
-
-
-def add_common(p):
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--out-dir", default="vecphon-out")
 
 
 def add_corpus(p, paradigm=True):
@@ -420,18 +413,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     subcommands = {}
 
-    p = sub.add_parser("train", help="fit a model and write a checkpoint")
-    add_common(p)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        p.add_argument("--out-dir", default="vecphon-out")
+        p.set_defaults(func=func)
+        subcommands[name] = p
+        return p
+
+    p = command("train", cmd_train, "fit a model and write a checkpoint")
     add_corpus(p)
     add_training(p)
     p.add_argument("--variant", default="pos-indep", choices=[v.value for v in Variant])
     p.add_argument("--sample-k", type=int, default=None,
                    help="subsample this many training words by token count")
-    p.set_defaults(func=cmd_train)
-    subcommands["train"] = p
 
-    p = sub.add_parser("predict", help="spell words for morpheme sequences")
-    add_common(p)
+    p = command("predict", cmd_predict, "spell words for morpheme sequences")
     p.add_argument("--checkpoint")
     p.add_argument("--morphemes", help="single request, e.g. lemma+V;PST")
     p.add_argument("--input", help="batch file: morphemes per line, tab- or +-separated")
@@ -439,30 +436,21 @@ def build_parser():
                    help="last column of --input is a gold form; emit its surprisal")
     p.add_argument("--max-len", type=int, default=40)
     p.add_argument("--out", help="write predictions here instead of stdout")
-    p.set_defaults(func=cmd_predict)
-    subcommands["predict"] = p
 
-    p = sub.add_parser("evaluate", help="score a checkpoint on held-out forms")
-    add_common(p)
+    p = command("evaluate", cmd_evaluate, "score a checkpoint on held-out forms")
     add_corpus(p)
     p.add_argument("--checkpoint")
     p.add_argument("--max-len", type=int, default=40)
     p.add_argument("--run-name", default=None)
-    p.set_defaults(func=cmd_evaluate)
-    subcommands["evaluate"] = p
 
-    p = sub.add_parser("export-embeddings", help="dump morpheme vectors")
-    add_common(p)
+    p = command("export-embeddings", cmd_export_embeddings, "dump morpheme vectors")
     p.add_argument("--checkpoint")
     p.add_argument("--projection", default="none", choices=PROJECTIONS)
     p.add_argument("--out", help="output file (default: out-dir/embeddings.tsv)")
     p.add_argument("--similarity", metavar="A,B",
                    help="print the cosine of two morphemes' embeddings and exit")
-    p.set_defaults(func=cmd_export_embeddings)
-    subcommands["export-embeddings"] = p
 
-    p = sub.add_parser("resample", help="learning curves over training sizes")
-    add_common(p)
+    p = command("resample", cmd_resample, "learning curves over training sizes")
     add_corpus(p, paradigm=False)
     add_training(p)
     p.add_argument("--sizes", default="200,400,600,800",
@@ -471,8 +459,6 @@ def build_parser():
     p.add_argument("--variants", default="pos-indep",
                    help="comma-separated variant tags to sweep")
     p.add_argument("--max-len", type=int, default=40)
-    p.set_defaults(func=cmd_resample)
-    subcommands["resample"] = p
 
     return parser, subcommands
 

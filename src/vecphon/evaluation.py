@@ -128,6 +128,7 @@ def mean_sd(values: Sequence[float]) -> tuple[float, float]:
 
 @dataclass
 class CurvePoint:
+    variant: Variant
     k: int
     acc_mean: float
     acc_sd: float
@@ -137,25 +138,27 @@ class CurvePoint:
     nll_sd: float
 
 
-def resample_eval(protocol: Callable[[int, int], EvalReport],
-                  sizes: Sequence[int], n_resamples: int,
+def resample_eval(protocol: Callable[[Variant, int, int], EvalReport],
+                  variants: Sequence[Variant], sizes: Sequence[int], n_resamples: int,
                   seed: int, map=map) -> list[CurvePoint]:
-    """Expected-performance estimate: for each training size k, run the
-    protocol (subsample, train, evaluate) n_resamples times under derived
-    seeds and aggregate each metric as mean and sample deviation. The
-    (k, seed) cells go through ``map``, which must keep their order."""
+    """Expected-performance estimate: for each variant and training size
+    k, run the protocol (subsample, train, evaluate) n_resamples times
+    under derived seeds, the same for every variant, and aggregate each
+    metric as mean and sample deviation. The (variant, k, seed) cells go
+    through one ``map``, variant-major, which must keep their order."""
     if n_resamples < 2:
         raise ConfigError(f"need at least 2 resamples, got {n_resamples}")
-    ks = [k for k in sizes for _ in range(n_resamples)]
-    seeds = [derive_seed(seed, f"resample-k{k}-r{r}") for k in sizes for r in range(n_resamples)]
-    reports = iter(map(protocol, ks, seeds))
+    cells = [(v, k, r) for v in variants for k in sizes for r in range(n_resamples)]
+    reports = iter(map(protocol, [v for v, _, _ in cells], [k for _, k, _ in cells],
+                       [derive_seed(seed, f"resample-k{k}-r{r}") for _, k, r in cells]))
     points = []
-    for k in sizes:
-        runs = [next(reports) for _ in range(n_resamples)]
-        acc = mean_sd([r.accuracy for r in runs])
-        mld = mean_sd([r.mean_levenshtein for r in runs])
-        nll = mean_sd([r.mean_surprisal for r in runs])
-        points.append(CurvePoint(k, acc[0], acc[1], mld[0], mld[1], nll[0], nll[1]))
+    for variant in variants:
+        for k in sizes:
+            runs = [next(reports) for _ in range(n_resamples)]
+            acc = mean_sd([r.accuracy for r in runs])
+            mld = mean_sd([r.mean_levenshtein for r in runs])
+            nll = mean_sd([r.mean_surprisal for r in runs])
+            points.append(CurvePoint(variant, k, acc[0], acc[1], mld[0], mld[1], nll[0], nll[1]))
     return points
 
 

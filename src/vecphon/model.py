@@ -85,35 +85,30 @@ class ModelParams:
     Whole-buffer code (the optimizer, clipping, snapshots) works on
     ``flat``; model code reads the named views. Write into a field
     (``params.lstm_b[:] = ...``) rather than rebinding it, or it stops
-    being a view of the buffer. ``like`` lays the same fields over
-    another buffer, which is how gradients are held.
+    being a view of the buffer. ``like`` lays the same fields over a
+    fresh zero buffer, which is how gradients are held.
     """
 
     FIELD_NAMES = ("morph_emb", "char_emb", "lstm_wx", "lstm_wh", "lstm_b",
                    "readout_w", "readout_v", "attn_t")
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]], flat: np.ndarray | None = None):
+    def __init__(self, shapes: dict[str, tuple[int, ...]]):
         self.shapes = {name: tuple(shapes[name]) for name in self.FIELD_NAMES}
         self.d = self.shapes["attn_t"][0]
         sizes = [math.prod(self.shapes[name]) for name in self.FIELD_NAMES]
-        if flat is None:
-            try:
-                flat = np.zeros(sum(sizes))
-            except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
-                raise DataError(f"cannot allocate {sum(sizes)} model parameters "
-                                f"(d={self.d})") from None
-        if flat.dtype != np.float64 or flat.shape != (sum(sizes),) or not flat.flags.c_contiguous:
-            raise ShapeError(f"parameter buffer must be contiguous float64 of length "
-                             f"{sum(sizes)}, got {flat.dtype} {flat.shape}")
-        self.flat = flat
+        try:
+            self.flat = np.zeros(sum(sizes))
+        except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+            raise DataError(f"cannot allocate {sum(sizes)} model parameters "
+                            f"(d={self.d})") from None
         offset = 0
         for name, size in zip(self.FIELD_NAMES, sizes):
-            setattr(self, name, flat[offset:offset + size].reshape(self.shapes[name]))
+            setattr(self, name, self.flat[offset:offset + size].reshape(self.shapes[name]))
             offset += size
 
-    def like(self, flat: np.ndarray | None = None) -> "ModelParams":
-        """The same fields over another buffer (fresh zeros if None)."""
-        return ModelParams(self.shapes, flat)
+    def like(self) -> "ModelParams":
+        """The same fields over a fresh zero buffer."""
+        return ModelParams(self.shapes)
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.FIELD_NAMES}
@@ -405,7 +400,8 @@ BATCH_WORDS = 64  # words per lockstep chunk
 class IncrementalDecoder:
     """B words' noise-free spell-out processes, advanced in lockstep one
     symbol at a time. ``morphemes`` holds one row of morpheme ids per
-    word, all of one length. ``step`` consumes each row's previous symbol
+    word, all of one length. A state holds each row's hidden and cell
+    vectors and morpheme rows. ``step`` consumes each row's previous symbol
     (embedding-table id, BOS first) and returns the rows'
     log-distributions over the next symbol."""
 
@@ -420,14 +416,14 @@ class IncrementalDecoder:
         self.zx = params.char_emb @ params.lstm_wx.T + params.lstm_b
 
     def start_state(self):
-        return np.zeros((2, len(self.m_rows), self.params.d))  # hidden, cell
+        return (*np.zeros((2, len(self.m_rows), self.params.d)), self.m_rows)
 
     def step(self, state, prev_char_ids):
         """Advance every row on its previous character; return ((B, n+1)
         log-distributions over surface symbols + EOS, new state)."""
         p = self.params
-        h, c, _ = lstm_step(p, self.zx[prev_char_ids], *state)
-        return emit(p, self.variant, h, self.m_rows).logdist, (h, c)
+        h, c, _ = lstm_step(p, self.zx[prev_char_ids], *state[:2])
+        return emit(p, self.variant, h, state[2]).logdist, (h, c, state[2])
 
 
 def _chunks(keys: Sequence) -> list[list[int]]:
@@ -457,8 +453,8 @@ def greedy_decode_batch(variant: Variant, morphemes: Sequence[Sequence[int]],
             steps.append((live, prev))
             ended = prev == alphabet.eos_out
             if ended.any():  # finished rows leave the batch
-                live, prev, dec.m_rows = live[~ended], prev[~ended], dec.m_rows[~ended]
-                state = (state[0][~ended], state[1][~ended])
+                live, prev = live[~ended], prev[~ended]
+                state = tuple(s[~ended] for s in state)
                 if not live.size:
                     break
         spelled = np.full((len(rows), len(steps)), alphabet.eos_out)

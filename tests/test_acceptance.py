@@ -226,7 +226,7 @@ def test_criterion_5_learning_curve():
     test_items = [slots[i] for i in test_ix]
     max_len = 2 * max(len(f) for f in forms) + 5
 
-    def protocol(k, sub_seed):
+    def protocol(variant, k, sub_seed):
         chosen = sample_training_set(pool, k, np.random.default_rng(sub_seed))
         train_e = [encode_entry(alphabet, vocab, w.morphemes, w.form)
                    for w in chosen]
@@ -236,7 +236,7 @@ def test_criterion_5_learning_curve():
         return evaluate(Variant.POS_INDEPENDENT, params, alphabet, vocab,
                         test_items, max_len)
 
-    points = resample_eval(protocol, [50, 100, 200, 400], 5, seed=7)
+    points = resample_eval(protocol, [Variant.POS_INDEPENDENT], [50, 100, 200, 400], 5, seed=7)
     accs = [p.acc_mean for p in points]
     drops = [max(0.0, accs[i] - accs[i + 1]) for i in range(len(accs) - 1)]
     n_violations = sum(d > 1e-9 for d in drops)

@@ -380,15 +380,6 @@ def test_backward_rejects_non_scalar():
 
 def test_shape_errors():
     alphabet, params = word_setup(22)
-    n = params.flat.size
-    with pytest.raises(ShapeError):
-        params.like(np.zeros(n - 1))
-    with pytest.raises(ShapeError):
-        params.like(np.zeros(n, dtype=np.float32))
-    with pytest.raises(ShapeError):
-        params.like(np.zeros(2 * n)[::2])  # not contiguous
-    with pytest.raises(ShapeError):
-        params.like(np.zeros((1, n)))
     with pytest.raises(ShapeError):
         Adam(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(IndexError):

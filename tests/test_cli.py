@@ -452,6 +452,10 @@ def test_exit_codes(tmp_path, capsys):
     undecodable_weighted.write_bytes(b"iki\tstem0\tsuf0\t3\ni\xffi\tstem1\tsuf1\t2\n")
     undecodable_cfg = tmp_path / "undecodable.cfg"
     undecodable_cfg.write_bytes(b"dim=8\nrun-name=\xff\n")
+    no_equals = tmp_path / "no-equals.cfg"
+    no_equals.write_text("dim 8\n")
+    one_column = tmp_path / "one-column.tsv"
+    one_column.write_text("stem0+suf0\n")
     manifests = {
         "non-integer": write_manifest(tmp_path / "m1", **{"dev.idx": "6\nsix\n"}),
         "no-seed": write_manifest(tmp_path / "m2", **{"seed.txt": None}),
@@ -460,6 +464,7 @@ def test_exit_codes(tmp_path, capsys):
         "out-of-range": write_manifest(tmp_path / "m5", **{"test.idx": "99\n"}),
         "undecodable": write_manifest(tmp_path / "m6", **{"dev.idx": b"6\n\xff\n"}),
         "directory": write_manifest(tmp_path / "m7", **{"test.idx": None}),
+        "two-seeds": write_manifest(tmp_path / "m8", **{"seed.txt": "0\n1\n"}),
     }
     os.mkdir(os.path.join(manifests["directory"], "test.idx"))
     negative_seed = tmp_path / "negative-seed.cfg"
@@ -473,6 +478,10 @@ def test_exit_codes(tmp_path, capsys):
         ([], 2),                                       # subcommand required
         (["train", "--no-such-flag"], 2),              # usage
         (["train", "--out-dir", x], 2),                # no corpus
+        (["train", "--data", data, "--weighted-data", str(wdata), "--out-dir", x], 2,
+         "not both"),
+        (["train", "--config", str(no_equals), "--data", data, "--out-dir", x], 2,
+         "expected key=value"),
         (["train", "--config", str(bad_variant), "--data", data, "--out-dir", x], 2),
         (["resample", "--weighted-data", str(wdata), "--variants", "bogus",
           "--sizes", "4", "--out-dir", x], 2),
@@ -489,6 +498,10 @@ def test_exit_codes(tmp_path, capsys):
         (["predict", "--config", str(bad_gold), "--checkpoint", ckpt,
           "--morphemes", "a+b", "--out-dir", x], 2),
         (["predict", "--morphemes", "a+b", "--out-dir", x], 2),   # no checkpoint
+        (["predict", "--checkpoint", ckpt, "--out-dir", x], 2, "nothing to predict"),
+        (["predict", "--checkpoint", ckpt, "--gold", "--input", str(one_column),
+          "--out-dir", x], 1, "gold column"),
+        (["resample", "--sizes", "4", "--out-dir", x], 2, "needs --weighted-data"),
         (["evaluate", "--data", data, "--out-dir", x], 2),
         (["export-embeddings", "--out-dir", x], 2),
         (["predict", "--checkpoint", ckpt, "--morphemes", "a+b", "--max-len", "0",
@@ -548,6 +561,7 @@ LIST_OPTION_CASES = [
     ("split-fracs", "0.8,x,0.1", 2, "config: bad split fractions '0.8,x,0.1': could not convert"),
     ("split-fracs", "0.8,0.2", 2,
      "config: split fractions need 3 comma-separated values, got '0.8,0.2'"),
+    ("split-fracs", "", 2, "config: split fractions need 3 comma-separated values, got ''"),
     ("sizes", "4,,8", 2, "config: bad sizes list '4,,8': blank value"),
     ("sizes", "4,x", 2, "config: bad sizes list '4,x': invalid literal for int()"),
     ("sizes", "", 2, "config: bad sizes list '': blank value"),
@@ -560,6 +574,7 @@ LIST_OPTION_CASES = [
     ("similarity", "suf0,nope", 1, "VocabularyError: unknown morpheme 'nope'"),
     ("similarity", "suf0,suf1,suf2", 2,
      "config: --similarity identifiers need 2 comma-separated values, got 'suf0,suf1,suf2'"),
+    ("similarity", "", 2, "config: --similarity identifiers need 2 comma-separated values, got ''"),
 ]
 
 

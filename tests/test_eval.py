@@ -153,49 +153,61 @@ def test_mean_sd_fixture():
 
 
 def test_resample_eval_aggregates():
-    def protocol(k, seed):
+    def protocol(variant, k, seed):
         # fabricated deterministic metrics: vary with k, not with seed
         return EvalReport(accuracy=float(k), mean_levenshtein=1.0 / k,
                           mean_surprisal=0.5, n_items=1, n_unknown=0)
 
-    points = resample_eval(protocol, sizes=[2, 4], n_resamples=3, seed=0)
+    points = resample_eval(protocol, [Variant.POS_INDEPENDENT], sizes=[2, 4],
+                           n_resamples=3, seed=0)
     assert [p.k for p in points] == [2, 4]
     assert points[0].acc_mean == 2.0 and points[0].acc_sd == 0.0
     assert points[1].mld_mean == 0.25 and points[1].nll_mean == 0.5
     with pytest.raises(ConfigError):
-        resample_eval(protocol, [2], n_resamples=1, seed=0)
+        resample_eval(protocol, [Variant.POS_INDEPENDENT], [2], n_resamples=1, seed=0)
 
 
 def test_resample_eval_seed_isolation():
     seeds_seen = []
 
-    def protocol(k, seed):
+    def protocol(variant, k, seed):
         seeds_seen.append(seed)
         return EvalReport(accuracy=0.0, mean_levenshtein=0.0,
                           mean_surprisal=0.0, n_items=1, n_unknown=0)
 
-    resample_eval(protocol, sizes=[2, 3], n_resamples=2, seed=1)
+    resample_eval(protocol, [Variant.POS_INDEPENDENT], sizes=[2, 3], n_resamples=2, seed=1)
     assert len(set(seeds_seen)) == 4  # every (k, resample) cell distinct
 
 
 def test_resample_eval_maps_cells_in_order():
-    def protocol(k, seed):
-        # metrics that vary with the seed, so a reordered cell would show
+    def protocol(variant, k, seed):
+        # metrics that vary with the variant and the seed, so a reordered
+        # cell would show
         return EvalReport(accuracy=float(seed % 97), mean_levenshtein=float(k),
-                          mean_surprisal=(seed % 89) / 7.0, n_items=1, n_unknown=0)
+                          mean_surprisal=(seed % 89) / 7.0 + len(variant.value),
+                          n_items=1, n_unknown=0)
 
     calls = []
 
-    def recording_map(fn, ks, seeds):
-        calls.append((list(ks), list(seeds)))
-        return [fn(k, s) for k, s in zip(ks, seeds)]
+    def recording_map(fn, variants, ks, seeds):
+        calls.append((list(variants), list(ks), list(seeds)))
+        return [fn(v, k, s) for v, k, s in zip(variants, ks, seeds)]
 
-    points = resample_eval(protocol, sizes=[3, 5], n_resamples=2, seed=4, map=recording_map)
-    assert points == resample_eval(protocol, sizes=[3, 5], n_resamples=2, seed=4)
-    assert len(calls) == 1
-    ks, seeds = calls[0]
-    assert ks == [3, 3, 5, 5]
-    assert seeds == [derive_seed(4, f"resample-k{k}-r{r}") for k in (3, 5) for r in range(2)]
+    variants = [Variant.JOINT, Variant.POS_INDEPENDENT]
+    points = resample_eval(protocol, variants, sizes=[3, 5], n_resamples=2, seed=4,
+                           map=recording_map)
+    assert points == resample_eval(protocol, variants, sizes=[3, 5], n_resamples=2, seed=4)
+    assert len(calls) == 1  # every variant's cells in one map
+    vs, ks, seeds = calls[0]
+    assert vs == [Variant.JOINT] * 4 + [Variant.POS_INDEPENDENT] * 4
+    assert ks == [3, 3, 5, 5] * 2
+    one_variant = [derive_seed(4, f"resample-k{k}-r{r}") for k in (3, 5) for r in range(2)]
+    assert seeds == one_variant * 2  # the same seeds for each variant
+    assert [(p.variant, p.k) for p in points] == [(v, k) for v in variants for k in (3, 5)]
+    seeds_of = {3: one_variant[:2], 5: one_variant[2:]}
+    for p in points:  # each point aggregates its own variant's cells
+        want = mean_sd([protocol(p.variant, p.k, s).mean_surprisal for s in seeds_of[p.k]])
+        assert (p.nll_mean, p.nll_sd) == want
 
 
 # ---------------------------------------------------------------------------
