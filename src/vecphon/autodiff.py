@@ -2,9 +2,9 @@
 
 The model's parameters and their gradients each live in one contiguous
 buffer (``ModelParams.flat``), so an Adam update and global-norm
-gradient clipping are a handful of in-place whole-buffer numpy
-operations. The gradients themselves are written by the model's
-hand-derived backward pass (``model.WordPass.nll_backward``).
+gradient clipping are a handful of in-place numpy operations on it. The
+gradients are written by the model's hand-derived backward pass
+(``model.WordPass.nll_backward``) and cleared by the training loop.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ class Adam:
     from the gradient buffer.
 
     The learning rate is an attribute so a scheduler can change it between
-    steps. ``step`` leaves the gradient buffer as it found it;
-    ``zero_grads`` clears it for the next accumulation.
+    steps. ``step`` leaves the gradient buffer as it found it.
     """
 
     def __init__(self, params: np.ndarray, grad: np.ndarray, lr: float = 1e-3):
@@ -41,11 +40,13 @@ class Adam:
         self._scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
 
     def step(self) -> None:
-        """One update: p -= lr * (m / c1) / (sqrt(v / c2) + eps)."""
+        """One update in Kingma & Ba's form (arXiv:1412.6980, sec. 2):
+        p -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))."""
         self.step_count += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
+        rate, eps = self.lr * np.sqrt(c2) / c1, ADAM_EPS * np.sqrt(c2)
         n = self.params.size
         for lo in range(0, n, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, n)
@@ -58,22 +59,21 @@ class Adam:
             np.multiply(g, g, out=s)
             s *= 1.0 - b2
             v += s
-            np.divide(v, c2, out=s)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            np.divide(m, c1, out=r)
-            r *= self.lr
+            np.sqrt(v, out=s)
+            s += eps
+            np.multiply(m, rate, out=r)
             r /= s
             p -= r
-
-    def zero_grads(self) -> None:
-        self.grad.fill(0.0)
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
     """Scale the flat gradient buffer in place so its L2 norm is at most
-    ``max_norm``; returns the norm before clipping."""
-    norm = float(np.sqrt(np.dot(grad, grad)))
-    if norm > max_norm and norm > 0.0:
-        grad *= max_norm / norm
-    return norm
+    ``max_norm``; returns the norm before clipping. A finite gradient
+    whose squared norm overflows is measured at unit scale."""
+    norm, top = float(np.sqrt(np.dot(grad, grad))), 1.0
+    if norm == np.inf and np.isfinite(grad).all():  # only the squares overflowed
+        top = float(np.abs(grad).max())  # so measure in units of the largest entry
+        norm = float(np.linalg.norm(grad / top))
+    if norm * top > max_norm and norm > 0.0:
+        grad *= max_norm / top / norm
+    return norm * top

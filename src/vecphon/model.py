@@ -306,11 +306,13 @@ class WordPass:
         if not np.isfinite(self.logprob):
             raise NumericError("non-finite word log-probability")
 
-    def nll_backward(self, grads: ModelParams) -> None:
+    def nll_backward(self, grads: ModelParams, *, accumulate: bool = True) -> None:
         """Add the gradient of -log p(word) with respect to every parameter
         into ``grads``, which has the parameters' layout. Noise is a
         constant, so gradients reach the underlying form through its mean
-        only (the reparameterization)."""
+        only (the reparameterization). With ``accumulate`` false, the
+        fields other than the embedding tables that the variant reads are
+        overwritten instead."""
         if grads.shapes != self.params.shapes:
             raise ShapeError("gradient buffer layout does not match the parameters'")
         p, out, variant = self.params, self.out, self.variant
@@ -328,10 +330,15 @@ class WordPass:
             dlogp = dcomps.reshape(T * k, -1)
         else:
             dlogp = dlogdist
+        def put(field, op, *args, **kwargs):  # field (+)= op(*args, **kwargs)
+            if accumulate:
+                field += op(*args, **kwargs)
+            else:
+                op(*args, out=field, **kwargs)
         dlogits = log_softmax_backward(out.logp, dlogp)
-        grads.readout_v += dlogits.T @ out.a
+        put(grads.readout_v, np.matmul, dlogits.T, out.a)
         dpre = (dlogits @ p.readout_v) * (1.0 - out.a * out.a)
-        grads.readout_w += dpre.T @ out.hu
+        put(grads.readout_w, np.matmul, dpre.T, out.hu)
         dhu = dpre @ p.readout_w
 
         if variant is Variant.JOINT:
@@ -351,13 +358,13 @@ class WordPass:
             ds = log_softmax_backward(out.log_alpha, dlog_alpha)
             dm += ds.T @ (self.h @ p.attn_t)
             dq = ds @ self.m_rows
-            grads.attn_t += self.h.T @ dq
+            put(grads.attn_t, np.matmul, self.h.T, dq)
             dh += dq @ p.attn_t.T
 
         dz = self._lstm_backward(dh)
-        grads.lstm_wx += dz.T @ self.x
-        grads.lstm_wh += dz[1:].T @ self.h[:-1]
-        grads.lstm_b += dz.sum(axis=0)
+        put(grads.lstm_wx, np.matmul, dz.T, self.x)
+        put(grads.lstm_wh, np.matmul, dz[1:].T, self.h[:-1])
+        put(grads.lstm_b, np.sum, dz, axis=0)
         dx = dz @ p.lstm_wx
         if self.masks is not None:
             dm *= self.masks[:k]

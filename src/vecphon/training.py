@@ -12,10 +12,11 @@ Scheduling is driven by the dev loss computed deterministically (dropout
 off, eps = 0): halve the learning rate after `patience` consecutive
 epochs without improvement, stop once it falls below the floor.
 
-Each word's gradient comes from the model's hand-derived backward pass
-and is added into one flat gradient buffer laid out like the parameters;
-a batch is the mean of its words' gradients, clipped and applied by Adam
-as whole-buffer operations.
+Each word's gradient comes from the model's hand-derived backward pass,
+into one flat gradient buffer laid out like the parameters. A batch's
+first word writes the dense blocks and the rest add to them; embedding
+rows are added, and cleared after the step. A batch is the mean of its
+words' gradients, clipped and applied by Adam as whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -122,18 +123,20 @@ def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
                    alphabet: Alphabet, rng: np.random.Generator | None, *,
                    dropout: float = 0.0,
                    drop_rng: np.random.Generator | None = None,
-                   grads: ModelParams | None = None) -> np.float64:
+                   grads: ModelParams | None = None,
+                   accumulate: bool = True) -> np.float64:
     """Negative log-likelihood at one underlying-form sample.
 
     With rng None (or for the joint variant, always) the noise is pinned
     to zero, which is the deterministic dev/eval objective. With
-    ``grads`` given, the loss's gradient is added into it.
+    ``grads`` given, the loss's gradient goes into it, as
+    ``WordPass.nll_backward`` with ``accumulate`` puts it.
     """
     eps = None if rng is None else (lambda: rng.standard_normal(params.d))
     word = WordPass(variant, entry, params, alphabet, eps=eps,
                     dropout=dropout, drop_rng=drop_rng)
     if grads is not None:
-        word.nll_backward(grads)
+        word.nll_backward(grads, accumulate=accumulate)
     return -word.logprob
 
 
@@ -164,7 +167,9 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
 
     params = init_params(init_rng, len(vocab), alphabet, config.d)
     grads = params.like()
-    opt = Adam(params.flat, grads.flat, lr=config.lr)
+    # pos-indep never reads attn_t, the last field, so Adam would keep it
+    trained = params.flat.size - (config.variant is Variant.POS_INDEPENDENT) * params.attn_t.size
+    opt = Adam(params.flat[:trained], grads.flat[:trained], lr=config.lr)
     schedule = PlateauSchedule(config.lr, config.min_lr, config.patience)
     log = TrainLog()
     best = params.like()
@@ -177,16 +182,18 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
         try:
             for start in range(0, n, config.batch_size):
                 batch = [train_entries[i] for i in order[start:start + config.batch_size]]
-                for entry in batch:
+                for j, entry in enumerate(batch):
                     loss_sum += float(elbo_word_loss(
                         config.variant, entry, params, alphabet, noise_rng,
-                        dropout=config.dropout, drop_rng=drop_rng, grads=grads))
+                        dropout=config.dropout, drop_rng=drop_rng, grads=grads,
+                        accumulate=j > 0))
                 if len(batch) > 1:
-                    grads.flat /= len(batch)
-                clip_global_norm(grads.flat, GRAD_NORM_CAP)
+                    opt.grad /= len(batch)
+                clip_global_norm(opt.grad, GRAD_NORM_CAP)
                 opt.lr = schedule.lr
                 opt.step()
-                opt.zero_grads()
+                grads.morph_emb[[m for e in batch for m in e.morphemes]] = 0.0
+                grads.char_emb[[alphabet.bos_id, *(c for e in batch for c in e.form)]] = 0.0
             train_loss = loss_sum / n
             dev_loss = mean_dev_loss(config.variant, dev_entries, params, alphabet)
         except NumericError as e:

@@ -485,7 +485,6 @@ def test_adam_matches_scalar_reference_on_quadratic():
     for _ in range(200):
         np.multiply(p, 2.0, out=g)
         opt.step()
-        opt.zero_grads()
     for i in (0, 1, 16384, 20000, 40000):
         assert abs(p[i] - reference(x0[i], 200, 0.05)) < 1e-12
     assert abs(p[0]) < 0.5  # and it actually descended
@@ -516,3 +515,26 @@ def test_clip_global_norm():
     assert np.allclose(g, [3.0, 0.0, 0.0, 4.0], rtol=0, atol=1e-15)
 
     assert clip_global_norm(np.zeros(2), 5.0) == 0.0  # zero gradients stay zero
+
+
+def test_clip_global_norm_keeps_direction_when_squared_norm_overflows():
+    g = np.array([1e200, -3e200, 0.5])
+    with np.errstate(over="ignore"):  # np.dot(g, g) overflows
+        norm = clip_global_norm(g, 5.0)
+    assert abs(norm - np.sqrt(10.0) * 1e200) <= 1e-12 * norm
+    assert abs(np.linalg.norm(g) - 5.0) <= 1e-12 * 5.0
+    direction = np.array([1.0, -3.0, 0.5e-200]) / np.sqrt(10.0)
+    assert np.allclose(g / 5.0, direction, rtol=1e-12, atol=0)
+
+    g = np.full(4, 1e308)  # the norm itself is beyond the float range
+    with np.errstate(over="ignore"):
+        assert clip_global_norm(g, 5.0) == np.inf
+    assert np.allclose(g, np.full(4, 2.5), rtol=1e-12, atol=0)
+
+
+def test_clip_global_norm_lets_non_finite_gradients_diverge():
+    for bad in (np.inf, np.nan):
+        g = np.array([1.0, bad, 2.0])
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(clip_global_norm(g, 5.0))
+        assert not np.isfinite(g).all()

@@ -159,21 +159,89 @@ def test_batch_step_uses_mean_of_per_word_gradients(tiny_harmony, monkeypatch):
     for variant in ALL_VARIANTS:
         cfg = make_config(variant=variant, batch_size=2, max_epochs=1, seed=11)
         after_step.clear()
-        train(cfg, words, entries, alphabet, vocab)
+        trained, _ = train(cfg, words, entries, alphabet, vocab)
         assert len(after_step) == 1
 
         params = init_params(derive_rng(cfg.seed, "init"), len(vocab), alphabet, cfg.d)
+        initial_attn_t = params.attn_t.copy()
         noise_rng = derive_rng(cfg.seed, "noise")
         grads = []
         for i in derive_rng(cfg.seed, "order").permutation(len(words)):
             grads.append(params.like())
             elbo_word_loss(variant, words[i], params, alphabet, noise_rng,
                            grads=grads[-1])
-        mean = (grads[0].flat + grads[1].flat) / 2.0
+        # pos-indep never reads attn_t, the last field, so train steps only
+        # the prefix before it
+        n = after_step[0].size
+        assert n == params.flat.size - (variant is Variant.POS_INDEPENDENT) * params.attn_t.size
+        mean = (grads[0].flat[:n] + grads[1].flat[:n]) / 2.0
         clip_global_norm(mean, tr.GRAD_NORM_CAP)
-        opt = Adam(params.flat, mean, lr=cfg.lr)
+        opt = Adam(params.flat[:n], mean, lr=cfg.lr)
         opt.step()
-        assert np.allclose(after_step[0], params.flat, rtol=0, atol=1e-12)
+        assert np.allclose(after_step[0], params.flat[:n], rtol=0, atol=1e-12)
+        if variant is Variant.POS_INDEPENDENT:
+            assert np.array_equal(trained.attn_t, initial_attn_t.astype(np.float32))
+
+
+def test_written_gradients_and_attn_t_prefix_match_zero_and_add_reference(
+        tiny_harmony, monkeypatch):
+    # train writes a batch's dense gradient blocks on its first word and
+    # clears only the embedding rows it touched; a loop that zeroes the
+    # whole buffer and adds every word must step to the same bits
+    slots, alphabet, vocab, entries = tiny_harmony
+    stepped, made, first_calls = [], [], []
+
+    def recording_init(*args):
+        made.append(init_params(*args))
+        return made[-1]
+
+    class RecordingAdam(Adam):
+        def step(self):
+            super().step()
+            stepped.append(made[-1].flat.copy())
+
+    def checked_loss(*args, grads, accumulate, **kwargs):
+        if not accumulate:  # a batch's first backward finds clean embedding rows
+            first_calls.append(not grads.morph_emb.any() and not grads.char_emb.any())
+        return elbo_word_loss(*args, grads=grads, accumulate=accumulate, **kwargs)
+
+    monkeypatch.setattr(tr, "init_params", recording_init)
+    monkeypatch.setattr(tr, "Adam", RecordingAdam)
+    monkeypatch.setattr(tr, "elbo_word_loss", checked_loss)
+    for variant in ALL_VARIANTS:
+        for batch_size in (1, 3):
+            cfg = make_config(variant=variant, batch_size=batch_size, max_epochs=2,
+                              dropout=0.1, seed=12)
+            stepped.clear()
+            first_calls.clear()
+            train(cfg, entries, entries, alphabet, vocab)
+            n_batches = 2 * -(-len(entries) // batch_size)
+            assert len(stepped) == n_batches and first_calls == [True] * n_batches
+
+            params = init_params(derive_rng(cfg.seed, "init"), len(vocab), alphabet, cfg.d)
+            initial_attn_t = params.attn_t.copy()
+            order_rng, drop_rng, noise_rng = (derive_rng(cfg.seed, name)
+                                              for name in ("order", "dropout", "noise"))
+            grads = params.like()
+            n = params.flat.size - (variant is Variant.POS_INDEPENDENT) * params.attn_t.size
+            opt = Adam(params.flat[:n], grads.flat[:n], lr=cfg.lr)
+            reference = []
+            for _ in range(cfg.max_epochs):
+                order = order_rng.permutation(len(entries))
+                for start in range(0, len(entries), batch_size):
+                    batch = [entries[i] for i in order[start:start + batch_size]]
+                    grads.flat.fill(0.0)
+                    for entry in batch:
+                        elbo_word_loss(variant, entry, params, alphabet, noise_rng,
+                                       dropout=cfg.dropout, drop_rng=drop_rng, grads=grads)
+                    grads.flat /= len(batch)
+                    clip_global_norm(opt.grad, tr.GRAD_NORM_CAP)
+                    opt.step()
+                    reference.append(params.flat.copy())
+            for got, want in zip(stepped, reference):
+                assert np.array_equal(got, want), (variant, batch_size)
+            if variant is Variant.POS_INDEPENDENT:
+                assert all(np.array_equal(got[n:], initial_attn_t.ravel()) for got in stepped)
 
 
 def test_train_deterministic_and_loss_decreases(tiny_harmony):
