@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -80,6 +81,8 @@ def apply_config_file(path, subcommands) -> None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if not raw:
             continue
+        if "\0" in raw:
+            raise ConfigError(f"{path}:{lineno}: NUL byte in the value for {key}")
         for sub_parser, action in targets:
             try:
                 sub_parser.set_defaults(**{action.dest: config_value(action, raw)})
@@ -376,7 +379,7 @@ class ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(2, f"error: usage: {self.prog}: {message}\n")
+        self.exit(2, "error: usage: " + "\\n".join(f"{self.prog}: {message}".splitlines()) + "\n")
 
 
 def add_corpus(p, paradigm=True):
@@ -469,6 +472,9 @@ def main(argv=None) -> int:
     parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        bad = [arg for arg in argv if re.search("[\0\ud800-\udfff]", arg)]
+        if bad:  # no path holds a NUL, and config.txt echoes every value as UTF-8
+            raise ConfigError(f"argument {bad[0]!r} holds a NUL byte or bytes that are not UTF-8")
         ns = parser.parse_args(argv)
         if ns.config:
             apply_config_file(ns.config, subcommands)
@@ -481,14 +487,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     except ConfigError as e:
-        print(f"error: config: {e}", file=sys.stderr)
-        return 2
+        code, text = 2, f"config: {e}"
     except (VecphonError, OSError) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        code, text = 1, f"{type(e).__name__}: {e}"
     except MemoryError as e:
-        print(f"error: MemoryError: {str(e) or 'out of memory'}", file=sys.stderr)
-        return 1
+        code, text = 1, f"MemoryError: {str(e) or 'out of memory'}"
+    # one line, even where a path in the message holds a line break
+    print("error: " + "\\n".join(text.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,12 +3,12 @@ per-symbol surprisal, resample aggregation, paired permutation test.
 
 ``predict`` spells and scores; ``evaluate`` is ``predict`` plus edit
 distances and aggregation. ``predict`` decodes all known requests, and
-scores their gold forms teacher-forced, by stepping the lockstep decoder
-over chunks of at most ``model.BATCH_WORDS`` words. Surprisal counts EOS in
-both the log-probability sum and the length normalizer. An item with an
-out-of-vocabulary morpheme is not decoded and scores as a failure (edit
-distance = gold length); it and a gold form that does not encode have
-no surprisal, and are left out of the surprisal mean.
+scores their gold forms teacher-forced, by stepping ``model.lstm_step``
+and ``model.emit`` over lockstep chunks of ``model.BATCH_WORDS`` words at
+most. Surprisal counts EOS in both the log-probability sum and the length
+normalizer. An item with an out-of-vocabulary morpheme is not decoded and
+scores as a failure (edit distance = gold length); it and a gold form that
+does not encode have no surprisal, and are left out of the surprisal mean.
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ readout, attention and joint mixture work on T rows (T*k rows for the
 joint variant's k morphemes). ``WordPass.nll_backward`` is the
 hand-derived gradient of that pass, with one weight-gradient matrix
 product per word and parameter (Appleyard et al. 2016, arXiv:1604.01946).
-Inference steps ``IncrementalDecoder`` over chunks of up to BATCH_WORDS
-words of one morpheme count (and, to score, one form length): each step
-is one (B, d) LSTM update and one (B, .) readout, no row is padded, and
-a decoded word leaves the batch at EOS.
+Inference steps chunks of up to BATCH_WORDS words of one morpheme count
+(and, to score, one form length) in lockstep: one ``lstm_step`` on (B, d)
+rows, its input share looked up in a table built once per call, and one
+``emit`` per step. No row is padded, and a decoded word leaves the batch
+at EOS.
 """
 
 from __future__ import annotations
@@ -404,35 +405,6 @@ class WordPass:
 BATCH_WORDS = 64  # words per lockstep chunk
 
 
-class IncrementalDecoder:
-    """B words' noise-free spell-out processes, advanced in lockstep one
-    symbol at a time. ``morphemes`` holds one row of morpheme ids per
-    word, all of one length. A state holds each row's hidden and cell
-    vectors and morpheme rows. ``step`` consumes each row's previous symbol
-    (embedding-table id, BOS first) and returns the rows'
-    log-distributions over the next symbol."""
-
-    def __init__(self, params: ModelParams, variant: Variant,
-                 morphemes: Sequence[Sequence[int]]):
-        ids = np.asarray(morphemes, dtype=np.intp)
-        if ids.ndim != 2 or ids.shape[1] == 0:
-            raise DataError("a word needs at least one morpheme")
-        self.params, self.variant = params, variant
-        self.m_rows = params.morph_emb[ids]
-        # no dropout at inference, so the input projection is a row lookup
-        self.zx = params.char_emb @ params.lstm_wx.T + params.lstm_b
-
-    def start_state(self):
-        return (*np.zeros((2, len(self.m_rows), self.params.d)), self.m_rows)
-
-    def step(self, state, prev_char_ids):
-        """Advance every row on its previous character; return ((B, n+1)
-        log-distributions over surface symbols + EOS, new state)."""
-        p = self.params
-        h, c, _ = lstm_step(p, self.zx[prev_char_ids], *state[:2])
-        return emit(p, self.variant, h, state[2]).logdist, (h, c, state[2])
-
-
 def _chunks(keys: Sequence) -> list[list[int]]:
     """Indices grouped by equal key, in chunks of at most BATCH_WORDS."""
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -448,20 +420,24 @@ def greedy_decode_batch(variant: Variant, morphemes: Sequence[Sequence[int]],
     count: BOS/EOS-free surface symbol indices, in input order."""
     if max_len < 1:
         raise DataError(f"max_len must be >= 1, got {max_len}")
+    if not all(map(len, morphemes)):
+        raise DataError("a word needs at least one morpheme")
+    zx = params.char_emb @ params.lstm_wx.T + params.lstm_b  # no dropout: a row lookup
     out: list[tuple[int, ...]] = [()] * len(morphemes)
     for rows in _chunks([len(m) for m in morphemes]):
-        dec = IncrementalDecoder(params, variant, [morphemes[i] for i in rows])
-        state, prev = dec.start_state(), np.full(len(rows), alphabet.bos_id)
+        m_rows = params.morph_emb[np.asarray([morphemes[i] for i in rows], dtype=np.intp)]
+        h = c = np.zeros((len(rows), params.d))
+        prev = np.full(len(rows), alphabet.bos_id)
         live = np.arange(len(rows))  # positions in rows still decoding
         steps = []  # (live, symbols) of each step taken; max_len may be huge
         for _ in range(max_len):
-            logdist, state = dec.step(state, prev)
-            prev = logdist.argmax(axis=1)  # ties break toward the lowest index
+            h, c, _ = lstm_step(params, zx[prev], h, c)
+            # ties break toward the lowest index
+            prev = emit(params, variant, h, m_rows).logdist.argmax(axis=1)
             steps.append((live, prev))
             ended = prev == alphabet.eos_out
             if ended.any():  # finished rows leave the batch
-                live, prev = live[~ended], prev[~ended]
-                state = tuple(s[~ended] for s in state)
+                live, prev, h, c, m_rows = (a[~ended] for a in (live, prev, h, c, m_rows))
                 if not live.size:
                     break
         spelled = np.full((len(rows), len(steps)), alphabet.eos_out)
@@ -477,14 +453,18 @@ def batch_logprobs(variant: Variant, entries: Sequence[LexiconEntry], params: Mo
     """Noise-free ``WordPass.logprob`` of each entry, in input order,
     scored teacher-forced in lockstep with the words of equal morpheme
     count and form length."""
+    if not all(len(e.morphemes) for e in entries):
+        raise DataError("a word needs at least one morpheme")
+    zx = params.char_emb @ params.lstm_wx.T + params.lstm_b  # no dropout: a row lookup
     out = np.zeros(len(entries))
     for rows in _chunks([(len(e.morphemes), len(e.form)) for e in entries]):
-        dec = IncrementalDecoder(params, variant, [entries[i].morphemes for i in rows])
-        state, prev = dec.start_state(), np.full(len(rows), alphabet.bos_id)
+        m_rows = params.morph_emb[np.asarray([entries[i].morphemes for i in rows], dtype=np.intp)]
+        h = c = np.zeros((len(rows), params.d))
+        prev = np.full(len(rows), alphabet.bos_id)
         forms = np.array([entries[i].form for i in rows], dtype=np.intp)
         for target in [*forms.T, np.full(len(rows), alphabet.eos_out)]:
-            logdist, state = dec.step(state, prev)
-            out[rows] += logdist[np.arange(len(rows)), target]
+            h, c, _ = lstm_step(params, zx[prev], h, c)
+            out[rows] += emit(params, variant, h, m_rows).logdist[np.arange(len(rows)), target]
             prev = target
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite word log-probability")

@@ -23,8 +23,8 @@ from vecphon.embeddings import cosine
 from vecphon.evaluation import (evaluate, levenshtein,
                                 paired_permutation_test, resample_eval,
                                 surprisals)
-from vecphon.model import (IncrementalDecoder, Variant, WordPass, default_max_len,
-                           init_params)
+from vecphon.model import (Variant, WordPass, default_max_len, emit, init_params,
+                           lstm_step)
 from vecphon.seeds import derive_rng, derive_seed
 from vecphon.training import TrainConfig, mean_dev_loss, train
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
@@ -109,16 +109,17 @@ def test_criterion_2_probability_mass_accounting():
 
         # strings longer than the cap: the first cap+1 emissions are all
         # characters, so sum the char-emission mass over every such path
-        dec = IncrementalDecoder(params, variant, [(0, 1)])
+        zx = params.char_emb @ params.lstm_wx.T + params.lstm_b
 
-        def descend(state, prev, depth, logp):
+        def descend(h, c, prev, depth, logp):
             if depth == cap + 1:
                 return math.exp(logp)
-            logdist, new_state = dec.step(state, [prev])
-            return sum(descend(new_state, sym, depth + 1, logp + float(logdist[0, sym]))
+            h, c, _ = lstm_step(params, zx[prev], h, c)
+            logdist = emit(params, variant, h, params.morph_emb[[0, 1]]).logdist
+            return sum(descend(h, c, sym, depth + 1, logp + float(logdist[sym]))
                        for sym in range(alphabet.size))
 
-        total += descend(dec.start_state(), alphabet.bos_id, 0, 0.0)
+        total += descend(np.zeros(params.d), np.zeros(params.d), alphabet.bos_id, 0, 0.0)
         gaps[variant.value] = abs(total - 1.0)
     gap_max = max(gaps.values())
     verdict("criterion 2 (probability mass)", gap_max < 1e-8,

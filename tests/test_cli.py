@@ -4,6 +4,8 @@ import concurrent.futures.process
 import json
 import multiprocessing
 import os
+import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -469,6 +471,10 @@ def test_exit_codes(tmp_path, capsys):
     os.mkdir(os.path.join(manifests["directory"], "test.idx"))
     negative_seed = tmp_path / "negative-seed.cfg"
     negative_seed.write_text("seed=-1\n")
+    nul_data = tmp_path / "nul-data.cfg"
+    nul_data.write_text("data=a\0b.tsv\n")
+    nul_out_dir = tmp_path / "nul-out-dir.cfg"
+    nul_out_dir.write_text("out-dir=x\0y\n")
     x = str(tmp_path / "x")
     train = ["train", "--data", data, "--out-dir", x, "--dim", "8", "--epochs", "1"]
     evaluate = ["evaluate", "--checkpoint", ckpt, "--data", data, "--out-dir", x]
@@ -523,6 +529,14 @@ def test_exit_codes(tmp_path, capsys):
         (["predict", "--checkpoint", ckpt, "--input", str(undecodable), "--out-dir", x], 1),
         (["evaluate", "--config", str(undecodable_cfg), "--checkpoint", ckpt,
           "--data", data, "--out-dir", x], 2),
+        (["train", "--config", str(nul_data), "--out-dir", x], 2, "config: "),
+        (["train", "--config", str(nul_out_dir), "--data", data], 2, "config: "),
+        (["predict", "--checkpoint", "a\0b", "--morphemes", "a+b", "--out-dir", x], 2,
+         "config: "),
+        (["predict", "--checkpoint", "a\nb", "--morphemes", "a+b", "--out-dir", x], 1,
+         "checkpoint a\\nb"),                # the line break is written as \n
+        (["evaluate", "--run-name", "\udcff", "--checkpoint", ckpt, "--data", data,
+          "--out-dir", x], 2, "not UTF-8"),   # how Python decodes a non-UTF-8 argv byte
     ]
     # a bad value for every typed, choices or boolean option of every
     # subcommand, through a config file and as a flag
@@ -552,6 +566,117 @@ def test_exit_codes(tmp_path, capsys):
         assert len(errors) == (0 if code == 0 else 1), (argv, err)
         if needle:
             assert needle[0] in errors[0], (argv, err)
+
+
+HUGE = "1" + "0" * 30
+# option values that a fuzzed run draws besides those of the option's type
+HOSTILE = ["", " ", "\0", "x\0y", "\x01", "\t", "\n", "\r", "\x7f", "-1", "0", HUGE,
+           "-" + HUGE, "1e308", "-1e-308", "nan", "inf", ",", "+", "=", "ä", "∅", "語",
+           "\u202e", "\udcff", "a" * 300]
+HOSTILE_BYTES = [b"\0", b"\xff", b"\xc3", b"\t", b"\n", b"\r", b"\r\n", b"=", b"+", b",",
+                 b"-1", b"0", HUGE.encode(), b"1e308", b"nan", "∅".encode(), "ä".encode()]
+# options whose size sets the work: drawn without HUGE, so every case ends
+SIZING = {"epochs", "resamples", "max-len"}
+
+
+def mutate(rnd, data: bytes) -> bytes:
+    """``data`` after one to three random edits: a hostile byte string
+    put in, a span deleted or doubled, or the rest cut off."""
+    for _ in range(rnd.randint(1, 3)):
+        i = rnd.randint(0, len(data))
+        j = min(len(data), i + rnd.randint(0, 12))
+        data = rnd.choice([data[:i] + rnd.choice(HOSTILE_BYTES) + data[i:],
+                           data[:i] + data[j:], data[:j] + data[i:j] + data[j:], data[:i]])
+    return data
+
+
+def test_fuzzed_runs_keep_the_failure_contract(tmp_path, monkeypatch, capsys):
+    # seeded random runs of every subcommand: option values of each
+    # option's type or hostile, files with mutated bytes, and config files
+    # of random lines. Each ends with 0, 1 or 2, and a failure with exactly
+    # one error line, the last line on stderr; a success writes nothing there
+    data, out = train_toy(tmp_path)
+    monkeypatch.chdir(tmp_path)   # relative paths drawn below land here
+    wdata = "w.tsv"
+    synthlang.write_weighted_tsv(wdata, synthlang.harmony_slots(6, 4), np.random.default_rng(0))
+    with open("requests.tsv", "w") as f:
+        f.write("stem0+suf0\nstem1\tsuf1\tikiki\nstem2+nope\n")
+    files = {"data": data, "weighted-data": wdata, "input": "requests.tsv",
+             "checkpoint": os.path.join(out, "checkpoint.vpck"),
+             "split-manifest": os.path.join(out, "split")}
+    texts = {"morphemes": ["stem0+suf0", "stem1+suf2+suf0", "suf0"], "sizes": ["4", "4,8", "20"],
+             "split-fracs": ["0.8,0.1,0.1", "0.5,0.25,0.25"], "variants": ["pos-dep,joint"],
+             "similarity": ["suf0,suf1", "stem0,stem0"]}
+    base = {"train": {"data": data, "dim": "4", "epochs": "1"},
+            "predict": {"checkpoint": files["checkpoint"], "morphemes": "stem0+suf0"},
+            "evaluate": {"checkpoint": files["checkpoint"], "data": data},
+            "export-embeddings": {"checkpoint": files["checkpoint"]},
+            "resample": {"weighted-data": wdata, "sizes": "4", "resamples": "2",
+                         "dim": "4", "epochs": "1"}}
+    _, subcommands = build_parser()
+    rnd = random.Random(17)
+
+    def path_value(key):
+        """The option's own file, or a copy of it or of another with
+        mutated bytes (in one file, for a split manifest)."""
+        src = files.get(key) or rnd.choice(list(files.values()))
+        if rnd.random() < 0.4:
+            return src
+        name = target = f"m{rnd.randrange(10**9)}"
+        if os.path.isdir(src):
+            shutil.copytree(src, name)
+            target = os.path.join(name, rnd.choice(sorted(os.listdir(name))))
+        else:
+            shutil.copy(src, name)
+        with open(target, "rb") as f:
+            raw = f.read()
+        with open(target, "wb") as f:
+            f.write(mutate(rnd, raw))
+        return name
+
+    def value(key, action):
+        if rnd.random() < 0.3:
+            return rnd.choice([v for v in HOSTILE if not (key in SIZING and v == HUGE)])
+        if action.nargs == 0:
+            return rnd.choice(["true", "false"])
+        if action.choices is not None:
+            return rnd.choice(list(action.choices))
+        if action.type is int:
+            return rnd.choice(["-1", "0", "1", "2", "4"] + ([] if key in SIZING else [HUGE]))
+        if action.type is float:
+            return rnd.choice(["0", "0.1", "0.5", "1", "1e-300", "1e300", "nan", "inf"])
+        return rnd.choice(texts.get(key) or [path_value(key), "out", "no/such/file"])
+
+    for case in range(900):
+        command = rnd.choice(list(subcommands))
+        actions = option_actions(subcommands[command])
+        settings = dict(base[command], **{"out-dir": "out"})
+        for key in rnd.sample(sorted(actions), rnd.randint(1, 3)):
+            if rnd.random() < 0.2:
+                settings.pop(key, None)
+            else:
+                settings[key] = value(key, actions[key])
+        argv = [command]
+        for key, text in settings.items():
+            if actions[key].nargs != 0:
+                argv.append(f"--{key}={text}")
+            elif text == "true":
+                argv.append(actions[key].option_strings[0])
+        if rnd.random() < 0.25:
+            lines = [f"{key}={value(key, actions[key])}"
+                     for key in rnd.sample(sorted(actions), rnd.randint(1, 3))]
+            config = "\n".join(lines).encode("utf-8", "surrogateescape")
+            with open(f"c{case}.cfg", "wb") as f:
+                f.write(mutate(rnd, config) if rnd.random() < 0.5 else config)
+            argv.append(f"--config=c{case}.cfg")
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 1, 2), (case, argv)
+        if code:
+            assert [line for line in err if line.startswith("error:")] == err[-1:], (case, argv, err)
+        else:
+            assert err == [], (case, argv, err)
 
 
 # each comma-separated option with a blank value, a bad value and a wrong

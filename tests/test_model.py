@@ -10,9 +10,8 @@ import pytest
 
 from vecphon import model as md
 from vecphon.errors import DataError
-from vecphon.model import (IncrementalDecoder, Variant, WordPass,
-                           attention_log_weights, emit, init_params,
-                           lstm_step, readout)
+from vecphon.model import (Variant, WordPass, attention_log_weights, emit,
+                           init_params, lstm_step, readout)
 from vecphon.training import mean_dev_loss
 from vecphon.vocab import Alphabet, LexiconEntry
 
@@ -209,12 +208,12 @@ def test_per_step_distributions_normalize_all_variants():
         alphabet, params, rng = tiny_setup(seed=seed, n_chars=3, n_morphs=4)
         morphemes = list(rng.integers(0, 4, size=int(rng.integers(1, 4))))
         for variant in ALL_VARIANTS:
-            dec = IncrementalDecoder(params, variant, [morphemes])
-            state = dec.start_state()
+            h = c = np.zeros(params.d)
             prev = alphabet.bos_id
             for sym in [0, 1, 2]:
-                logdist, state = dec.step(state, [prev])
-                assert abs(np.exp(logdist[0]).sum() - 1.0) < 1e-10
+                h, c, _ = lstm_step(params, input_share(params, params.char_emb[prev]), h, c)
+                logdist = emit(params, variant, h, params.morph_emb[morphemes]).logdist
+                assert abs(np.exp(logdist).sum() - 1.0) < 1e-10
                 prev = sym
 
 
@@ -313,11 +312,13 @@ def test_morpheme_gradient_sparsity():
     assert np.all(g[[0, 2, 4]] == 0.0)
 
 
-def test_embed_rows_stack_in_order():
-    alphabet, params, _ = tiny_setup(seed=17, n_morphs=4)
-    dec = IncrementalDecoder(params, Variant.JOINT, [[2, 0]])
-    assert np.allclose(dec.m_rows[0, 0], params.morph_emb[2])
-    assert np.allclose(dec.m_rows[0, 1], params.morph_emb[0])
+def test_empty_morpheme_sequence_is_data_error():
+    alphabet, params, _ = tiny_setup(seed=17)
+    for variant in ALL_VARIANTS:
+        with pytest.raises(DataError, match="at least one morpheme"):
+            md.greedy_decode_batch(variant, [[0], []], params, alphabet, 5)
+        with pytest.raises(DataError, match="at least one morpheme"):
+            md.batch_logprobs(variant, [LexiconEntry((), (0,))], params, alphabet)
 
 
 def test_default_max_len():
@@ -383,12 +384,13 @@ def test_decoder_steps_match_teacher_forced_pass():
     entry = LexiconEntry(morphemes=(3, 0, 1), form=(2, 0, 0, 3, 1))
     for variant in ALL_VARIANTS:
         scored = WordPass(variant, entry, params, alphabet).out.logdist
-        dec = IncrementalDecoder(params, variant, [entry.morphemes])
-        state = dec.start_state()
+        m_rows = params.morph_emb[list(entry.morphemes)]
+        h = c = np.zeros(params.d)
         prev = alphabet.bos_id
         for t, sym in enumerate(entry.form + (None,)):
-            logdist, state = dec.step(state, [prev])
-            assert np.max(np.abs(logdist[0] - scored[t])) < 1e-12, (variant, t)
+            h, c, _ = lstm_step(params, input_share(params, params.char_emb[prev]), h, c)
+            logdist = emit(params, variant, h, m_rows).logdist
+            assert np.max(np.abs(logdist - scored[t])) < 1e-12, (variant, t)
             prev = sym
 
 
