@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import re
@@ -209,9 +208,12 @@ def read_prediction_requests(ns):
     return requests
 
 
+MAX_LEN_LIMIT = 1000  # symbols; a decoded word is never longer
+
+
 def check_max_len(ns) -> None:
-    if ns.max_len < 1:
-        raise ConfigError(f"max-len must be >= 1, got {ns.max_len}")
+    if not 1 <= ns.max_len <= MAX_LEN_LIMIT:
+        raise ConfigError(f"max-len must be in [1, {MAX_LEN_LIMIT}], got {ns.max_len}")
 
 
 def load_model(ns):
@@ -265,7 +267,7 @@ def cmd_evaluate(ns) -> None:
     write_atomic(os.path.join(ns.out_dir, "report.txt"), table + "\n")
     payload = {"run": name, "variant": variant.value,
                "conventions": "surprisal counts EOS in both the sum and the length",
-               **dataclasses.asdict(rep)}
+               **vars(rep), "items": [vars(r) for r in rep.items]}
     write_atomic(os.path.join(ns.out_dir, "report.json"),
                  json.dumps(payload, ensure_ascii=False, indent=1))
 

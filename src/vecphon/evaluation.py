@@ -3,9 +3,9 @@ per-symbol surprisal, resample aggregation, paired permutation test.
 
 ``predict`` spells and scores; ``evaluate`` is ``predict`` plus edit
 distances and aggregation. ``predict`` decodes all known requests, and
-scores their gold forms teacher-forced, by stepping ``model.lstm_step``
-and ``model.emit`` over lockstep chunks of ``model.BATCH_WORDS`` words at
-most. Surprisal counts EOS in both the log-probability sum and the length
+scores their gold forms teacher-forced, in one call of
+``model.spell_and_score``, which runs the LSTM once per distinct prefix.
+Surprisal counts EOS in both the log-probability sum and the length
 normalizer. An item with an out-of-vocabulary morpheme is not decoded and
 scores as a failure (edit distance = gold length); it and a gold form that
 does not encode have no surprisal, and are left out of the surprisal mean.
@@ -13,15 +13,16 @@ does not encode have no surprisal, and are left out of the surprisal mean.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, VocabularyError
-from .model import ModelParams, Variant, batch_logprobs, greedy_decode_batch
+from .model import ModelParams, Variant, spell_and_score
 from .seeds import derive_rng, derive_seed
-from .vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
+from .vocab import Alphabet, MorphemeVocab, encode_entry
 
 
 def levenshtein(a: Sequence, b: Sequence) -> int:
@@ -37,14 +38,6 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
                          prev[j - 1] + (ca != cb))
         prev = cur
     return prev[len(b)]
-
-
-def surprisals(variant: Variant, entries: Sequence[LexiconEntry], params: ModelParams,
-               alphabet: Alphabet) -> list[float]:
-    """Negative log-probability of each gold form at the noise-free mean,
-    in nats per symbol; EOS counts in both numerator and length."""
-    lps = batch_logprobs(variant, entries, params, alphabet).tolist()
-    return [-lp / (len(e.form) + 1) for e, lp in zip(entries, lps)]
 
 
 @dataclass
@@ -77,18 +70,16 @@ def predict(variant: Variant, params: ModelParams, alphabet: Alphabet,
     records = [PredictionRecord(tuple(m), gold, "", None, None,
                                 any(x not in vocab for x in m)) for m, gold in requests]
     known = [r for r in records if not r.unknown]
-    spelled = greedy_decode_batch(variant, [[vocab.index(m) for m in r.morphemes] for r in known],
-                                  params, alphabet, max_len)
-    scored = []
-    for r, symbols in zip(known, spelled):
+    forms = [None] * len(known)
+    for j, r in enumerate(known):
+        with contextlib.suppress(DataError, VocabularyError):  # no gold, or it does not encode
+            forms[j] = encode_entry(alphabet, vocab, r.morphemes, r.gold or "").form
+    spelled, logprobs = spell_and_score(variant, [[vocab.index(m) for m in r.morphemes]
+                                                  for r in known], forms, params, alphabet, max_len)
+    for r, symbols, form, lp in zip(known, spelled, forms, logprobs.tolist()):
         r.predicted = alphabet.decode(symbols)
-        if r.gold is not None:
-            try:
-                scored.append((r, encode_entry(alphabet, vocab, r.morphemes, r.gold)))
-            except (DataError, VocabularyError):
-                pass
-    for (r, _), s in zip(scored, surprisals(variant, [e for _, e in scored], params, alphabet)):
-        r.surprisal = s
+        if form is not None:
+            r.surprisal = -lp / (len(form) + 1)
     return records
 
 

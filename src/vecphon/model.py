@@ -26,11 +26,13 @@ readout, attention and joint mixture work on T rows (T*k rows for the
 joint variant's k morphemes). ``WordPass.nll_backward`` is the
 hand-derived gradient of that pass, with one weight-gradient matrix
 product per word and parameter (Appleyard et al. 2016, arXiv:1604.01946).
-Inference steps chunks of up to BATCH_WORDS words of one morpheme count
-(and, to score, one form length) in lockstep: one ``lstm_step`` on (B, d)
-rows, its input share looked up in a table built once per call, and one
-``emit`` per step. No row is padded, and a decoded word leaves the batch
-at EOS.
+Inference (``spell_and_score``) spells and scores in one lockstep pass
+over chunks of up to BATCH_WORDS words of one morpheme count. The LSTM
+reads only the symbols spelled so far, and the morphemes enter only at
+the output layer, so words that share a prefix share its state: each
+step runs ``lstm_step`` and the readout's state half once per distinct
+prefix, and the emission per word from morpheme tables built once per
+call. A decoded word leaves the batch at EOS.
 """
 
 from __future__ import annotations
@@ -400,75 +402,108 @@ class WordPass:
 
 
 # ---------------------------------------------------------------------------
-# inference: words in lockstep
+# inference: words in lockstep, one LSTM row per distinct prefix
 
-BATCH_WORDS = 64  # words per lockstep chunk
-
-
-def _chunks(keys: Sequence) -> list[list[int]]:
-    """Indices grouped by equal key, in chunks of at most BATCH_WORDS."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    groups = [list(g) for _, g in itertools.groupby(order, key=keys.__getitem__)]
-    return [g[i:i + BATCH_WORDS] for g in groups for i in range(0, len(g), BATCH_WORDS)]
+BATCH_WORDS = 64  # words of one morpheme count per lockstep chunk; bounds a step's rows
 
 
-def greedy_decode_batch(variant: Variant, morphemes: Sequence[Sequence[int]],
-                        params: ModelParams, alphabet: Alphabet,
-                        max_len: int) -> list[tuple[int, ...]]:
-    """Noise-free argmax decoding of each morpheme-id sequence until EOS or
-    ``max_len`` symbols, in lockstep with the words of equal morpheme
-    count: BOS/EOS-free surface symbol indices, in input order."""
-    if max_len < 1:
-        raise DataError(f"max_len must be >= 1, got {max_len}")
+def _emit_rows(variant: Variant, params: ModelParams, h: np.ndarray, hw: np.ndarray,
+               keys: np.ndarray, m_read: np.ndarray) -> np.ndarray:
+    """``emit(...).logdist`` of decoder states h (R, d), given their
+    readout share hw = h W_h^T and each row's attention keys T m_j
+    (R, k, d) and readout shares W_u m_j (R, k, 2d) of its morphemes:
+    W [h; u] = W_h h + W_u u, and u is linear in the morpheme rows."""
+    v = params.readout_v.T
+    if variant is Variant.POS_INDEPENDENT:
+        return log_softmax(np.tanh(hw + m_read.mean(axis=1)) @ v)
+    log_alpha = log_softmax(np.matmul(keys, h[:, :, None])[..., 0])
+    if variant is Variant.POS_DEPENDENT:
+        return log_softmax(np.tanh(hw + np.matmul(np.exp(log_alpha)[:, None], m_read)[:, 0]) @ v)
+    logp = log_softmax(np.tanh(hw[:, None] + m_read) @ v)
+    return logsumexp(logp + log_alpha[..., None], axis=1)
+
+
+def spell_and_score(variant: Variant, morphemes: Sequence[Sequence[int]],
+                    forms: Sequence[Sequence[int] | None] | None, params: ModelParams,
+                    alphabet: Alphabet, max_len: int | None = None) -> tuple[list, np.ndarray]:
+    """Noise-free greedy spelling and gold log-probability of each word,
+    in one lockstep pass. ``morphemes[i]`` are word i's morpheme ids and
+    ``forms[i]`` its gold symbols or None (``forms`` None: no gold).
+    Returns, in input order, the BOS/EOS-free argmax symbols until EOS or
+    ``max_len`` symbols (all empty when ``max_len`` is None, which only
+    scores) and ``WordPass.logprob`` at the noise-free mean (NaN without
+    gold).
+
+    A word with gold is one teacher-forced row that carries its spelling
+    while the argmax equals the gold symbol; where they part, a free row
+    forks from the same state. Chunks hold up to BATCH_WORDS words of one
+    morpheme count, sorted by form so that neighbours share prefixes,
+    and each step runs the LSTM and the readout's state half once per
+    distinct prefix. The BOS state and the morphemes' attention keys and
+    readout shares are computed once per call."""
+    forms = [None] * len(morphemes) if forms is None else forms
     if not all(map(len, morphemes)):
         raise DataError("a word needs at least one morpheme")
+    if max_len is not None and max_len < 1:
+        raise DataError(f"max_len must be >= 1, got {max_len}")
+    d, eos, size = params.d, alphabet.eos_out, alphabet.table_size
     zx = params.char_emb @ params.lstm_wx.T + params.lstm_b  # no dropout: a row lookup
-    out: list[tuple[int, ...]] = [()] * len(morphemes)
-    for rows in _chunks([len(m) for m in morphemes]):
-        m_rows = params.morph_emb[np.asarray([morphemes[i] for i in rows], dtype=np.intp)]
-        h = c = np.zeros((len(rows), params.d))
-        prev = np.full(len(rows), alphabet.bos_id)
-        live = np.arange(len(rows))  # positions in rows still decoding
-        steps = []  # (live, symbols) of each step taken; max_len may be huge
-        for _ in range(max_len):
-            h, c, _ = lstm_step(params, zx[prev], h, c)
-            # ties break toward the lowest index
-            prev = emit(params, variant, h, m_rows).logdist.argmax(axis=1)
-            steps.append((live, prev))
-            ended = prev == alphabet.eos_out
-            if ended.any():  # finished rows leave the batch
-                live, prev, h, c, m_rows = (a[~ended] for a in (live, prev, h, c, m_rows))
-                if not live.size:
-                    break
-        spelled = np.full((len(rows), len(steps)), alphabet.eos_out)
+    w_h = params.readout_w[:, :d].T
+    used = np.array(sorted(set(itertools.chain.from_iterable(morphemes))), dtype=np.intp)
+    m = params.morph_emb[used]
+    keys, m_read = m @ params.attn_t.T, m @ params.readout_w[:, d:].T
+    h_bos, c_bos, _ = lstm_step(params, zx[[alphabet.bos_id]], *np.zeros((2, 1, d)))
+    spelled: list[tuple[int, ...]] = [()] * len(morphemes)
+    logprobs = np.full(len(morphemes), np.nan)
+    order = sorted(range(len(morphemes)), key=lambda i: (
+        len(morphemes[i]), tuple(forms[i] or ()), tuple(morphemes[i])))
+    groups = [list(g) for _, g in itertools.groupby(order, key=lambda i: len(morphemes[i]))]
+    for rows in (g[i:i + BATCH_WORDS] for g in groups for i in range(0, len(g), BATCH_WORDS)):
+        mid = np.searchsorted(used, [morphemes[i] for i in rows])
+        has = np.array([forms[i] is not None for i in rows])
+        gold = [forms[i] or () for i in rows]
+        last = max(map(len, gold))
+        targets = np.array([[*f, *[eos] * (last + 1 - len(f))] for f in gold])
+        # live rows: word positions in rows (nt teacher-forced first), at states h[at]
+        nt = int(has.sum())
+        word = np.argsort(~has, kind="stable")[:len(rows) if max_len else nt]
+        spells = np.full(len(word), max_len is not None)
+        at = np.zeros(len(word), dtype=np.intp)
+        h, c, hw = h_bos, c_bos, h_bos @ w_h
+        score = np.zeros(len(rows))
+        steps = []  # (words, symbols) spelled at each step
+        for t in itertools.count():
+            logdist = _emit_rows(variant, params, h[at], hw[at], keys[mid[word]], m_read[mid[word]])
+            target = targets[word[:nt], min(t, last)]
+            score[word[:nt]] += logdist[np.arange(nt), target]
+            best = logdist.argmax(axis=1)  # ties break toward the lowest index
+            steps.append((word[spells], best[spells]))
+            more = max_len is not None and t + 1 < max_len
+            agree = best[:nt] == target
+            go = target != eos
+            fork = spells[:nt] & ~agree & (best[:nt] != eos) & more
+            free = np.concatenate([fork, (best[nt:] != eos) & more])
+            parent = np.concatenate([at[:nt][go], at[free]])
+            symbol = np.concatenate([target[go], best[free]])
+            word = np.concatenate([word[:nt][go], word[free]])
+            spells = np.concatenate([(spells[:nt] & agree)[go] & more, np.ones(free.sum(), bool)])
+            nt = int(go.sum())
+            if not word.size:
+                break
+            ids: dict[int, int] = {}  # np.unique would import numpy.ma, 2 MB and 40 ms
+            at = np.array([ids.setdefault(p, len(ids)) for p in (parent * size + symbol).tolist()])
+            parent, symbol = np.divmod(np.fromiter(ids, dtype=np.intp), size)
+            h, c, _ = lstm_step(params, zx[symbol], h[parent], c[parent])
+            hw = h @ w_h
+        spelled_rows = np.full((len(rows), len(steps)), eos)
         for t, (where, symbols) in enumerate(steps):
-            spelled[where, t] = symbols
+            spelled_rows[where, t] = symbols
         for j, i in enumerate(rows):
-            out[i] = tuple(itertools.takewhile(alphabet.eos_out.__ne__, spelled[j].tolist()))
-    return out
-
-
-def batch_logprobs(variant: Variant, entries: Sequence[LexiconEntry], params: ModelParams,
-                   alphabet: Alphabet) -> np.ndarray:
-    """Noise-free ``WordPass.logprob`` of each entry, in input order,
-    scored teacher-forced in lockstep with the words of equal morpheme
-    count and form length."""
-    if not all(len(e.morphemes) for e in entries):
-        raise DataError("a word needs at least one morpheme")
-    zx = params.char_emb @ params.lstm_wx.T + params.lstm_b  # no dropout: a row lookup
-    out = np.zeros(len(entries))
-    for rows in _chunks([(len(e.morphemes), len(e.form)) for e in entries]):
-        m_rows = params.morph_emb[np.asarray([entries[i].morphemes for i in rows], dtype=np.intp)]
-        h = c = np.zeros((len(rows), params.d))
-        prev = np.full(len(rows), alphabet.bos_id)
-        forms = np.array([entries[i].form for i in rows], dtype=np.intp)
-        for target in [*forms.T, np.full(len(rows), alphabet.eos_out)]:
-            h, c, _ = lstm_step(params, zx[prev], h, c)
-            out[rows] += emit(params, variant, h, m_rows).logdist[np.arange(len(rows)), target]
-            prev = target
-    if not np.all(np.isfinite(out)):
+            spelled[i] = tuple(itertools.takewhile(eos.__ne__, spelled_rows[j].tolist()))
+        logprobs[rows] = np.where(has, score, np.nan)
+    if not np.all(np.isfinite(logprobs[[f is not None for f in forms]])):
         raise NumericError("non-finite word log-probability")
-    return out
+    return spelled, logprobs
 
 
 def default_max_len(train_entries: Sequence[LexiconEntry]) -> int:

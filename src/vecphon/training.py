@@ -28,7 +28,7 @@ import numpy as np
 from .autodiff import Adam, clip_global_norm
 from .data import write_atomic
 from .errors import ConfigError, NumericError, TrainingError
-from .model import ModelParams, Variant, WordPass, batch_logprobs, init_params
+from .model import ModelParams, Variant, WordPass, init_params, spell_and_score
 from .seeds import derive_rng
 from .vocab import Alphabet, LexiconEntry, MorphemeVocab
 
@@ -143,8 +143,10 @@ def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
 def mean_dev_loss(variant: Variant, entries, params: ModelParams,
                   alphabet: Alphabet) -> float:
     """Deterministic mean per-word loss: dropout off, noise pinned to 0;
-    the words are scored in lockstep (``batch_logprobs``)."""
-    return -float(batch_logprobs(variant, entries, params, alphabet).sum()) / len(entries)
+    the words are scored in lockstep (``spell_and_score``)."""
+    logprobs = spell_and_score(variant, [e.morphemes for e in entries],
+                               [e.form for e in entries], params, alphabet)[1]
+    return -float(logprobs.sum()) / len(entries)
 
 
 def train(config: TrainConfig, train_entries: list[LexiconEntry],

@@ -21,10 +21,9 @@ from vecphon.data import (SplitSpec, WeightedForm, build_vocab,
                           sample_training_set, split_paradigms)
 from vecphon.embeddings import cosine
 from vecphon.evaluation import (evaluate, levenshtein,
-                                paired_permutation_test, resample_eval,
-                                surprisals)
+                                paired_permutation_test, resample_eval)
 from vecphon.model import (Variant, WordPass, default_max_len, emit, init_params,
-                           lstm_step)
+                           lstm_step, spell_and_score)
 from vecphon.seeds import derive_rng, derive_seed
 from vecphon.training import TrainConfig, mean_dev_loss, train
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
@@ -293,7 +292,8 @@ def test_criterion_6_metric_oracles():
     entry = LexiconEntry(morphemes=(0, 1), form=alphabet.encode("cab"))
     params = init_params(np.random.default_rng(3), 2, alphabet, d=4)
     params.readout_v[:] = 0.0  # uniform over the 5-way output space
-    surp_gaps = [abs(surprisals(v, [entry], params, alphabet)[0] - math.log(alphabet.out_size))
+    surp_gaps = [abs(-spell_and_score(v, [entry.morphemes], [entry.form], params, alphabet)[1][0]
+                     / (len(entry.form) + 1) - math.log(alphabet.out_size))
                  for v in ALL_VARIANTS]
 
     ok = mismatches == 0 and max(p_gaps) <= 0.01 and max(surp_gaps) < 1e-10

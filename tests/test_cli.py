@@ -19,7 +19,7 @@ import synthlang
 from vecphon.checkpoint import load_checkpoint
 from vecphon import cli
 from vecphon.cli import build_parser, main
-from vecphon.evaluation import surprisals
+from vecphon.model import spell_and_score
 from vecphon.vocab import encode_entry
 
 
@@ -143,7 +143,8 @@ def test_predict_gold_column_emits_surprisal(tmp_path):
     assert len(fields) == 2
     params, variant, alphabet, vocab = load_checkpoint(ckpt)
     entry = encode_entry(alphabet, vocab, ("stem0", "suf0"), gold_form)
-    assert abs(float(fields[1]) - surprisals(variant, [entry], params, alphabet)[0]) < 1e-6
+    lp = spell_and_score(variant, [entry.morphemes], [entry.form], params, alphabet)[1][0]
+    assert abs(float(fields[1]) + lp / (len(entry.form) + 1)) < 1e-6
 
 
 def test_predict_gold_repeats_evaluate(tmp_path):
@@ -513,6 +514,8 @@ def test_exit_codes(tmp_path, capsys):
         (["predict", "--checkpoint", ckpt, "--morphemes", "a+b", "--max-len", "0",
           "--out-dir", x], 2),
         (evaluate + ["--max-len", "0"], 2),
+        (evaluate + ["--max-len", str(cli.MAX_LEN_LIMIT + 1)], 2, "max-len"),
+        (evaluate + ["--max-len", "1" + "0" * 30], 2, "max-len"),   # refused before decoding
         (train + ["--seed", "-1"], 2, "seed"),
         (["resample", "--weighted-data", str(wdata), "--sizes", "4", "--seed", "-1",
           "--out-dir", x], 2, "seed"),
@@ -576,7 +579,7 @@ HOSTILE = ["", " ", "\0", "x\0y", "\x01", "\t", "\n", "\r", "\x7f", "-1", "0", H
 HOSTILE_BYTES = [b"\0", b"\xff", b"\xc3", b"\t", b"\n", b"\r", b"\r\n", b"=", b"+", b",",
                  b"-1", b"0", HUGE.encode(), b"1e308", b"nan", "∅".encode(), "ä".encode()]
 # options whose size sets the work: drawn without HUGE, so every case ends
-SIZING = {"epochs", "resamples", "max-len"}
+SIZING = {"epochs", "resamples"}
 
 
 def mutate(rnd, data: bytes) -> bytes:

@@ -8,9 +8,8 @@ import pytest
 
 from vecphon.errors import ConfigError, DataError
 from vecphon.evaluation import (EvalReport, evaluate, levenshtein, mean_sd,
-                                paired_permutation_test, predict, resample_eval,
-                                surprisals)
-from vecphon.model import Variant, WordPass, greedy_decode_batch, init_params
+                                paired_permutation_test, predict, resample_eval)
+from vecphon.model import Variant, WordPass, init_params, spell_and_score
 from vecphon.seeds import derive_seed
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab
 
@@ -62,7 +61,8 @@ def test_surprisal_uniform_closed_form():
     for form in [(0,), (0, 1), (1, 1, 0, 0)]:
         entry = LexiconEntry(morphemes=(0,), form=form)
         for variant in Variant:
-            s = surprisals(variant, [entry], params, alphabet)[0]
+            lp = spell_and_score(variant, [entry.morphemes], [entry.form], params, alphabet)[1][0]
+            s = -lp / (len(form) + 1)
             assert abs(s - np.log(3)) < 1e-10
 
 
@@ -70,9 +70,10 @@ def test_surprisal_independent_of_other_entries():
     alphabet = Alphabet("ab")
     params = init_params(np.random.default_rng(3), 2, alphabet, 4)
     e = LexiconEntry(morphemes=(0,), form=(0, 1))
-    s1 = surprisals(Variant.POS_INDEPENDENT, [e], params, alphabet)[0]
-    surprisals(Variant.POS_INDEPENDENT, [LexiconEntry((1,), (1,))], params, alphabet)
-    assert surprisals(Variant.POS_INDEPENDENT, [e], params, alphabet)[0] == s1
+    s1 = spell_and_score(Variant.POS_INDEPENDENT, [e.morphemes], [e.form], params, alphabet)[1][0]
+    spell_and_score(Variant.POS_INDEPENDENT, [(1,)], [(1,)], params, alphabet)
+    assert spell_and_score(Variant.POS_INDEPENDENT, [e.morphemes], [e.form], params,
+                           alphabet)[1][0] == s1
 
 
 def test_evaluate_report_and_unknowns():
@@ -97,7 +98,7 @@ def test_predict_matches_per_word_decoding_and_scoring():
     # 160 requests in lockstep chunks, one, two and three morphemes, with
     # out-of-vocabulary morphemes, gold forms that do not encode and
     # requests without gold mixed in; each record must equal what the
-    # one-word greedy_decode_batch and WordPass give it, in request order
+    # one-word spell_and_score and WordPass give it, in request order
     alphabet = Alphabet("abc")
     vocab = MorphemeVocab([f"m{i}" for i in range(5)])
     rng = np.random.default_rng(24)
@@ -121,7 +122,7 @@ def test_predict_matches_per_word_decoding_and_scoring():
                 continue
             ids = [vocab.index(m) for m in morphemes]
             assert r.predicted == alphabet.decode(
-                greedy_decode_batch(variant, [ids], params, alphabet, max_len=5)[0])
+                spell_and_score(variant, [ids], None, params, alphabet, max_len=5)[0][0])
             if gold in (None, "", "axb"):
                 assert r.surprisal is None
                 continue

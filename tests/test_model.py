@@ -268,7 +268,7 @@ def test_greedy_decode_eos_rigged_gives_empty():
     alphabet, params, _ = tiny_setup()
     rig_eos_at_step_one(params, alphabet)
     for variant in ALL_VARIANTS:
-        assert md.greedy_decode_batch(variant, [[0]], params, alphabet, max_len=10)[0] == ()
+        assert md.spell_and_score(variant, [[0]], None, params, alphabet, max_len=10)[0][0] == ()
 
 
 def test_decode_memory_follows_steps_taken_not_max_len():
@@ -279,10 +279,10 @@ def test_decode_memory_follows_steps_taken_not_max_len():
     rig_eos_at_step_one(params, alphabet)
     words = [[0], [2], [1, 3], [3, 0, 1]]
     for variant in ALL_VARIANTS:
-        short = md.greedy_decode_batch(variant, words, params, alphabet, max_len=15)
+        short = md.spell_and_score(variant, words, None, params, alphabet, max_len=15)[0]
         tracemalloc.start()
         try:
-            huge = md.greedy_decode_batch(variant, words, params, alphabet, max_len=10**6)
+            huge = md.spell_and_score(variant, words, None, params, alphabet, max_len=10**6)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,12 +293,12 @@ def test_decode_memory_follows_steps_taken_not_max_len():
 def test_greedy_decode_deterministic_and_capped():
     alphabet, params, _ = tiny_setup(seed=14)
     for variant in ALL_VARIANTS:
-        a = md.greedy_decode_batch(variant, [[0, 2]], params, alphabet, max_len=8)[0]
-        b = md.greedy_decode_batch(variant, [[0, 2]], params, alphabet, max_len=8)[0]
+        a = md.spell_and_score(variant, [[0, 2]], None, params, alphabet, max_len=8)[0][0]
+        b = md.spell_and_score(variant, [[0, 2]], None, params, alphabet, max_len=8)[0][0]
         assert a == b
         assert len(a) <= 8
     with pytest.raises(DataError):
-        md.greedy_decode_batch(Variant.JOINT, [[0]], params, alphabet, max_len=0)
+        md.spell_and_score(Variant.JOINT, [[0]], None, params, alphabet, max_len=0)
 
 
 def test_morpheme_gradient_sparsity():
@@ -316,9 +316,9 @@ def test_empty_morpheme_sequence_is_data_error():
     alphabet, params, _ = tiny_setup(seed=17)
     for variant in ALL_VARIANTS:
         with pytest.raises(DataError, match="at least one morpheme"):
-            md.greedy_decode_batch(variant, [[0], []], params, alphabet, 5)
+            md.spell_and_score(variant, [[0], []], None, params, alphabet, 5)
         with pytest.raises(DataError, match="at least one morpheme"):
-            md.batch_logprobs(variant, [LexiconEntry((), (0,))], params, alphabet)
+            md.spell_and_score(variant, [()], [(0,)], params, alphabet)
 
 
 def test_default_max_len():
@@ -413,8 +413,8 @@ def reference_decode(variant, morphemes, params, alphabet, max_len):
 
 def test_lockstep_inference_matches_per_word():
     # 1-3 morphemes and 0-6 symbols per word, in input order: groups of
-    # one word, groups of more than BATCH_WORDS, and words that reach the
-    # length cap without EOS
+    # one word, groups of more than BATCH_WORDS, words that reach the
+    # length cap without EOS, and words that share a gold prefix
     alphabet, params, rng = tiny_setup(seed=24, d=6, n_chars=3, n_morphs=5, weight_scale=3.0)
     params.lstm_b[:] = rng.normal(size=params.lstm_b.shape)
     words = [LexiconEntry(tuple(rng.integers(0, 5, rng.integers(1, 4)).tolist()),
@@ -422,21 +422,68 @@ def test_lockstep_inference_matches_per_word():
              for _ in range(130)]
     words[40:40] = [LexiconEntry(tuple(rng.integers(0, 5, 2).tolist()),
                                  tuple(rng.integers(0, 3, 3).tolist())) for _ in range(70)]
+    words += [LexiconEntry(tuple(rng.integers(0, 5, 2).tolist()),
+                           (2, 0) + tuple(rng.integers(0, 3, rng.integers(0, 4)).tolist()))
+              for _ in range(40)]
     assert sum((len(w.morphemes), len(w.form)) == (2, 3) for w in words) > md.BATCH_WORDS
-    morphemes = [w.morphemes for w in words]
+    morphemes, forms = [w.morphemes for w in words], [w.form for w in words]
+    some_gold = [f if i % 3 else None for i, f in enumerate(forms)]
     for variant in ALL_VARIANTS:
-        spelled = md.greedy_decode_batch(variant, morphemes, params, alphabet, 5)
+        spelled = md.spell_and_score(variant, morphemes, None, params, alphabet, 5)[0]
         assert spelled == [reference_decode(variant, m, params, alphabet, 5) for m in morphemes]
-        assert spelled == [md.greedy_decode_batch(variant, [m], params, alphabet, 5)[0]
+        assert spelled == [md.spell_and_score(variant, [m], None, params, alphabet, 5)[0][0]
                            for m in morphemes]
         assert {0, 5} < {len(s) for s in spelled}, variant
-        assert md.greedy_decode_batch(variant, morphemes, params, alphabet, 5) == spelled
+        assert md.spell_and_score(variant, morphemes, None, params, alphabet, 5)[0] == spelled
 
-        lps = md.batch_logprobs(variant, words, params, alphabet)
+        lps = md.spell_and_score(variant, morphemes, forms, params, alphabet)[1]
         per_word = np.array([WordPass(variant, w, params, alphabet).logprob for w in words])
         assert np.all(np.abs(lps - per_word) <= 1e-10 * np.abs(per_word)), variant
-        alone = np.array([md.batch_logprobs(variant, [w], params, alphabet)[0] for w in words])
+        alone = np.array([md.spell_and_score(variant, [w.morphemes], [w.form], params,
+                                             alphabet)[1][0] for w in words])
         assert np.all(np.abs(lps - alone) <= 1e-12 * np.abs(alone)), variant
-        assert np.array_equal(md.batch_logprobs(variant, words, params, alphabet), lps)
+        assert np.array_equal(md.spell_and_score(variant, morphemes, forms, params,
+                                                 alphabet)[1], lps)
         dev = mean_dev_loss(variant, words, params, alphabet)
         assert abs(dev + per_word.mean()) <= 1e-10 * abs(per_word.mean()), variant
+
+        # one pass over words with and without gold spells as the decode-only
+        # call and scores as the score-only one
+        for golds in (forms, some_gold):
+            both, both_lps = md.spell_and_score(variant, morphemes, golds, params, alphabet, 5)
+            scored = np.array([f is not None for f in golds])
+            assert both == spelled, variant
+            assert np.all(np.isnan(both_lps[~scored])), variant
+            assert np.all(np.abs(both_lps[scored] - lps[scored])
+                          <= 1e-12 * np.abs(lps[scored])), variant
+
+
+def test_lstm_runs_once_per_distinct_prefix(monkeypatch):
+    # 50 words of two morphemes, one lockstep chunk, whose gold forms share
+    # a 4-symbol prefix: the LSTM sees one row per distinct prefix, gold or
+    # spelled, and the BOS state (the empty prefix) once
+    alphabet, params, rng = tiny_setup(seed=25, d=6, n_chars=3, n_morphs=5, weight_scale=3.0)
+    words = [LexiconEntry(tuple(rng.integers(0, 5, 2).tolist()),
+                          (0, 1, 2, 1) + tuple(rng.integers(0, 3, rng.integers(0, 3)).tolist()))
+             for _ in range(50)]
+    morphemes, forms = [w.morphemes for w in words], [w.form for w in words]
+    rows = []
+    step = md.lstm_step
+
+    def counting_step(params, zx, h, c):
+        rows.append(len(zx))
+        return step(params, zx, h, c)
+
+    monkeypatch.setattr(md, "lstm_step", counting_step)
+    gold = {f[:j] for f in forms for j in range(len(f) + 1)}
+    diverged = False
+    for variant in ALL_VARIANTS:
+        rows.clear()
+        md.spell_and_score(variant, morphemes, forms, params, alphabet)
+        assert sum(rows) == len(gold) < sum(len(f) + 1 for f in forms) // 10, variant
+        rows.clear()
+        spelled = md.spell_and_score(variant, morphemes, forms, params, alphabet, 6)[0]
+        free = {s[:j] for s in spelled for j in range(min(len(s) + 1, 6))}
+        assert sum(rows) == len(gold | free), variant
+        diverged |= bool(free - gold)
+    assert diverged
