@@ -268,6 +268,8 @@ def cmd_evaluate(ns) -> None:
     payload = {"run": name, "variant": variant.value,
                "conventions": "surprisal counts EOS in both the sum and the length",
                **vars(rep), "items": [vars(r) for r in rep.items]}
+    if np.isnan(rep.mean_surprisal):  # no scorable item; JSON has no NaN
+        payload["mean_surprisal"] = None
     write_atomic(os.path.join(ns.out_dir, "report.json"),
                  json.dumps(payload, ensure_ascii=False, indent=1))
 
@@ -312,17 +314,25 @@ def _start_worker(cell, parent) -> None:
 
 
 @contextlib.contextmanager
-def fork_pool(workers, cell):
-    """A pool of forked workers that run ``cell`` through _run_cell; they
-    inherit it, its data and the BLAS thread count, so only the arguments and
-    the result are pickled. The pool forks them all before it starts its own
-    threads. Leaving joins every worker."""
+def fork_pool(cell, cells: int):
+    """(runner, map) for ``cells`` independent calls of ``cell``, where
+    ``map(runner, ...)`` yields their results in order. The calls run in
+    worker_count forked workers, or in this process when that is one.
+    Workers inherit ``cell``, its data and the BLAS thread count, so only
+    the arguments and the result are pickled; the pool forks them all
+    before it starts its own threads. Leaving joins every worker."""
+    # where sched_getaffinity is missing, count one core and do not fork
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = worker_count(cores, cells, os.environ)
+    if workers == 1:
+        yield cell, map
+        return
     import multiprocessing  # here, so that the other commands do not load it
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker, initargs=(cell, os.getpid())) as executor:
         try:
-            yield executor
+            yield _run_cell, executor.map
         except BrokenProcessPool:
             raise TrainingError("a resample worker process died") from None
 
@@ -351,13 +361,9 @@ def cmd_resample(ns) -> None:
                           alphabet, vocab)
         return evaluate(variant, params, alphabet, vocab, test_items, ns.max_len)
 
-    # where sched_getaffinity is missing, count one core and do not fork
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = worker_count(cores, len(variants) * len(sizes) * ns.resamples, os.environ)
-    with fork_pool(workers, cell) if workers > 1 else contextlib.nullcontext() as executor:
+    with fork_pool(cell, len(variants) * len(sizes) * ns.resamples) as (run, map_):
         # a failed cell cancels every pending cell
-        points = resample_eval(cell if executor is None else _run_cell, variants, sizes,
-                               ns.resamples, ns.seed, map=map if executor is None else executor.map)
+        points = resample_eval(run, variants, sizes, ns.resamples, ns.seed, map=map_)
     lines = ["k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"]
     for p in points:
         lines.append(f"{p.k}\t{p.variant.value}\t{p.acc_mean:.3f}\t{p.acc_sd:.3f}"

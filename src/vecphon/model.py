@@ -19,6 +19,9 @@ part of the output space and is scored at the final position of every
 word.
 
 The model is plain numpy; its building blocks take leading batch axes.
+The output distribution is written once, in ``emit``, and factored:
+W [h; u] = W_h h + W_u u, and u is linear in the morpheme rows m_j, so
+they enter through their attention keys T m_j and readout shares W_u m_j.
 Scoring a known form for training (``WordPass``) runs the LSTM
 recurrence step by step and everything else on all T = |form| + 1
 steps at once: the input projection is one matrix product, and the
@@ -31,8 +34,8 @@ over chunks of up to BATCH_WORDS words of one morpheme count. The LSTM
 reads only the symbols spelled so far, and the morphemes enter only at
 the output layer, so words that share a prefix share its state: each
 step runs ``lstm_step`` and the readout's state half once per distinct
-prefix, and the emission per word from morpheme tables built once per
-call. A decoded word leaves the batch at EOS.
+prefix, and ``emit`` once per word. A decoded word leaves the batch at
+EOS.
 """
 
 from __future__ import annotations
@@ -193,62 +196,43 @@ def lstm_step(params: ModelParams, zx: np.ndarray, h: np.ndarray, c: np.ndarray)
     return h2, c2, gates
 
 
-def readout(params: ModelParams, hu: np.ndarray):
-    """(tanh(W hu), log_softmax(V tanh(W hu))) per row of decoder-state /
-    underlying-form pairs hu = [h; u]: the hidden readout layer and the
-    log-distribution over surface symbols plus EOS."""
-    a = np.tanh(hu @ params.readout_w.T)
-    return a, log_softmax(a @ params.readout_v.T)
-
-
-def attention_log_weights(h: np.ndarray, m_rows: np.ndarray, attn_t: np.ndarray) -> np.ndarray:
-    """log of the softmax over morphemes j of h^T T m_j, per row of h;
-    ``m_rows`` (..., k, d) holds each row's morphemes, its leading axes
-    broadcasting against h's."""
-    return log_softmax(np.einsum("...d,...kd->...k", h @ attn_t, m_rows))
-
-
 class Emission(NamedTuple):
     """Output of ``emit`` and what the backward pass needs of it."""
     logdist: np.ndarray           # log p(next symbol), one row per decoder state
-    hu: np.ndarray                # readout inputs [h; u] (joint: [h; m_j] per j)
-    a: np.ndarray                 # hidden readout layer, per row of hu
-    logp: np.ndarray              # readout log-distribution, per row of hu
+    a: np.ndarray                 # hidden readout layer tanh(W [h; u]) (joint: per j)
+    logp: np.ndarray              # readout log-distribution, per row of a
     log_alpha: np.ndarray | None  # attention log-weights (not pos-indep)
 
 
-def emit(params: ModelParams, variant: Variant, h: np.ndarray, m_rows: np.ndarray,
-         noise: np.ndarray | None = None) -> Emission:
-    """Per-step output distributions for decoder states ``h`` (..., d)
-    given each state's morpheme rows ``m_rows`` (..., k, d), whose leading
-    axes broadcast against h's: one word's (k, d) rows serve all of its
-    T states, and B words' (B, k, d) rows their B states. ``noise`` is
-    added to the underlying form: one vector for pos-indep, one row per
-    state for pos-dep; the joint variant has no underlying form."""
-    k, d = m_rows.shape[-2:]
-    lead = h.shape[:-1]
-    if variant is Variant.JOINT:
-        log_alpha = attention_log_weights(h, m_rows, params.attn_t)
-        both = lead + (k, d)
-        hu = np.concatenate([np.broadcast_to(h[..., None, :], both),
-                             np.broadcast_to(m_rows, both)], axis=-1).reshape(-1, 2 * d)
-        a, logp = readout(params, hu)
-        # mix per-morpheme readouts in probability space
-        mix = logsumexp(logp.reshape(lead + (k, -1)) + log_alpha[..., None], axis=-2)
-        if not np.all(np.isfinite(mix)):
-            raise NumericError("non-finite mixture in joint emission")
-        return Emission(mix, hu, a, logp, log_alpha)
-    if variant is Variant.POS_INDEPENDENT:
-        log_alpha = None
-        u = np.full(k, 1.0 / k) @ m_rows  # the morpheme rows' arithmetic mean
-    else:
-        log_alpha = attention_log_weights(h, m_rows, params.attn_t)
-        u = np.einsum("...k,...kd->...d", np.exp(log_alpha), m_rows)
+def emit(params: ModelParams, variant: Variant, h: np.ndarray, hw: np.ndarray,
+         keys: np.ndarray, m_read: np.ndarray, noise: np.ndarray | None = None) -> Emission:
+    """Per-step output distributions for decoder states ``h`` (..., d),
+    given their readout share hw = h W_h^T (..., 2d) and their morphemes'
+    attention keys T m_j (..., k, d) and readout shares W_u m_j
+    (..., k, 2d), whose leading axes broadcast against h's: one word's
+    (k, .) tables serve all of its T states, and (R, k, .) tables give
+    one set per state. ``noise`` is the underlying form's noise share
+    eps W_u^T: one row for pos-indep, one per state for pos-dep."""
+    log_alpha = None
+    if variant is Variant.POS_INDEPENDENT:  # u: the morpheme rows' arithmetic mean
+        pre = hw + m_read.mean(axis=-2)
+    else:  # attention: the softmax over morphemes j of h^T T m_j
+        log_alpha = log_softmax(np.matmul(keys, h[..., None])[..., 0])
+        if variant is Variant.POS_DEPENDENT:  # u: the attention-weighted mean
+            pre = hw + np.matmul(np.exp(log_alpha)[..., None, :], m_read)[..., 0, :]
+        else:  # one readout per morpheme, u = m_j
+            pre = hw[..., None, :] + m_read
     if noise is not None:
-        u = u + noise
-    hu = np.concatenate([h, np.broadcast_to(u, h.shape)], axis=-1)
-    a, logp = readout(params, hu.reshape(-1, 2 * d))
-    return Emission(logp.reshape(lead + (-1,)), hu, a, logp, log_alpha)
+        pre = pre + noise
+    a = np.tanh(pre)
+    logp = log_softmax(a @ params.readout_v.T)
+    if variant is not Variant.JOINT:
+        return Emission(logp, a, logp, log_alpha)
+    # mix per-morpheme readouts in probability space
+    mix = logsumexp(logp + log_alpha[..., None], axis=-2)
+    if not np.all(np.isfinite(mix)):
+        raise NumericError("non-finite mixture in joint emission")
+    return Emission(mix, a, logp, log_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +273,11 @@ class WordPass:
             self.m_rows *= self.masks[:k]
             self.x *= self.masks[k:]
 
-        noise = None
+        self.noise = None
         if eps is not None and variant is Variant.POS_INDEPENDENT:
-            noise = np.asarray(eps(), dtype=np.float64)
+            self.noise = np.asarray(eps(), dtype=np.float64)
         elif eps is not None and variant is Variant.POS_DEPENDENT:
-            noise = np.array([eps() for _ in range(T)], dtype=np.float64)
+            self.noise = np.array([eps() for _ in range(T)], dtype=np.float64)
 
         zx = self.x @ params.lstm_wx.T + params.lstm_b
         self.h = np.empty((T, d))
@@ -304,7 +288,10 @@ class WordPass:
             h, c, self.gates[t] = lstm_step(params, zx[t], h, c)
             self.h[t], self.c[t] = h, c
 
-        self.out = emit(params, variant, self.h, self.m_rows, noise)
+        w_u = params.readout_w[:, d:]
+        self.keys = self.m_rows @ params.attn_t.T
+        self.out = emit(params, variant, self.h, self.h @ params.readout_w[:, :d].T, self.keys,
+                        self.m_rows @ w_u.T, None if self.noise is None else self.noise @ w_u.T)
         self.logprob = self.out.logdist[np.arange(T), self.targets].sum()
         if not np.isfinite(self.logprob):
             raise NumericError("non-finite word log-probability")
@@ -323,14 +310,11 @@ class WordPass:
         k = len(self.morphemes)
         dlogdist = np.zeros_like(out.logdist)
         dlogdist[np.arange(T), self.targets] = -1.0
-        dh = np.zeros((T, d))
-        dm = np.zeros((k, d))
 
         if variant is Variant.JOINT:
-            comps = out.logp.reshape(T, k, -1) + out.log_alpha[:, :, None]
-            dcomps = logsumexp_backward(comps, out.logdist, dlogdist, axis=1)
-            dlog_alpha = dcomps.sum(axis=2)
-            dlogp = dcomps.reshape(T * k, -1)
+            comps = out.logp + out.log_alpha[:, :, None]
+            dlogp = logsumexp_backward(comps, out.logdist, dlogdist, axis=1)
+            dlog_alpha = dlogp.sum(axis=2)
         else:
             dlogp = dlogdist
         def put(field, op, *args, **kwargs):  # field (+)= op(*args, **kwargs)
@@ -338,31 +322,38 @@ class WordPass:
                 field += op(*args, **kwargs)
             else:
                 op(*args, out=field, **kwargs)
-        dlogits = log_softmax_backward(out.logp, dlogp)
-        put(grads.readout_v, np.matmul, dlogits.T, out.a)
-        dpre = (dlogits @ p.readout_v) * (1.0 - out.a * out.a)
-        put(grads.readout_w, np.matmul, dpre.T, out.hu)
-        dhu = dpre @ p.readout_w
-
-        if variant is Variant.JOINT:
-            dhu = dhu.reshape(T, k, 2 * d)
-            dh += dhu[:, :, :d].sum(axis=1)
-            dm += dhu[:, :, d:].sum(axis=0)
-        else:
-            dh += dhu[:, :d]
-            du = dhu[:, d:]
-            if variant is Variant.POS_INDEPENDENT:
-                dm += du.sum(axis=0) / k
-            else:
-                alpha = np.exp(out.log_alpha)
-                dm += alpha.T @ du
-                dlog_alpha = (du @ self.m_rows.T) * alpha
-        if variant is not Variant.POS_INDEPENDENT:
+        a = out.a.reshape(-1, 2 * d)
+        dlogits = log_softmax_backward(out.logp, dlogp).reshape(len(a), -1)
+        put(grads.readout_v, np.matmul, dlogits.T, a)
+        dpre = ((dlogits @ p.readout_v) * (1.0 - a * a)).reshape(out.a.shape)
+        # W [h; u] = W_h h + W_u u: each u = weights @ m_rows (+ noise)
+        # takes the summed dpre of the rows that read it
+        if variant is Variant.JOINT:  # u = m_j in component j
+            rows, weights, dpre = dpre.sum(axis=0), np.eye(k), dpre.sum(axis=1)
+        elif variant is Variant.POS_INDEPENDENT:  # one u for every step
+            rows, weights = dpre.sum(axis=0, keepdims=True), np.full((1, k), 1.0 / k)
+        else:  # one u per step
+            rows, weights = dpre, np.exp(out.log_alpha)
+        u = weights @ self.m_rows
+        if self.noise is not None:
+            u += self.noise
+        # both halves, dpre.T @ h and rows.T @ u, as one product with
+        # [h 0; 0 u]: two products into the strided halves took about
+        # twice as long at d=200
+        blocks = np.zeros((len(dpre) + len(rows), 2 * d))
+        blocks[:len(dpre), :d], blocks[len(dpre):, d:] = self.h, u
+        put(grads.readout_w, np.matmul, np.concatenate([dpre, rows]).T, blocks)
+        dh = dpre @ p.readout_w[:, :d]
+        du = rows @ p.readout_w[:, d:]
+        dm = weights.T @ du
+        if variant is Variant.POS_DEPENDENT:
+            dlog_alpha = (du @ self.m_rows.T) * weights
+        if variant is not Variant.POS_INDEPENDENT:  # through the keys T m_j
             ds = log_softmax_backward(out.log_alpha, dlog_alpha)
-            dm += ds.T @ (self.h @ p.attn_t)
-            dq = ds @ self.m_rows
-            put(grads.attn_t, np.matmul, self.h.T, dq)
-            dh += dq @ p.attn_t.T
+            dh += ds @ self.keys
+            dkeys = ds.T @ self.h
+            dm += dkeys @ p.attn_t
+            put(grads.attn_t, np.matmul, dkeys.T, self.m_rows)
 
         dz = self._lstm_backward(dh)
         put(grads.lstm_wx, np.matmul, dz.T, self.x)
@@ -405,22 +396,6 @@ class WordPass:
 # inference: words in lockstep, one LSTM row per distinct prefix
 
 BATCH_WORDS = 64  # words of one morpheme count per lockstep chunk; bounds a step's rows
-
-
-def _emit_rows(variant: Variant, params: ModelParams, h: np.ndarray, hw: np.ndarray,
-               keys: np.ndarray, m_read: np.ndarray) -> np.ndarray:
-    """``emit(...).logdist`` of decoder states h (R, d), given their
-    readout share hw = h W_h^T and each row's attention keys T m_j
-    (R, k, d) and readout shares W_u m_j (R, k, 2d) of its morphemes:
-    W [h; u] = W_h h + W_u u, and u is linear in the morpheme rows."""
-    v = params.readout_v.T
-    if variant is Variant.POS_INDEPENDENT:
-        return log_softmax(np.tanh(hw + m_read.mean(axis=1)) @ v)
-    log_alpha = log_softmax(np.matmul(keys, h[:, :, None])[..., 0])
-    if variant is Variant.POS_DEPENDENT:
-        return log_softmax(np.tanh(hw + np.matmul(np.exp(log_alpha)[:, None], m_read)[:, 0]) @ v)
-    logp = log_softmax(np.tanh(hw[:, None] + m_read) @ v)
-    return logsumexp(logp + log_alpha[..., None], axis=1)
 
 
 def spell_and_score(variant: Variant, morphemes: Sequence[Sequence[int]],
@@ -473,7 +448,8 @@ def spell_and_score(variant: Variant, morphemes: Sequence[Sequence[int]],
         score = np.zeros(len(rows))
         steps = []  # (words, symbols) spelled at each step
         for t in itertools.count():
-            logdist = _emit_rows(variant, params, h[at], hw[at], keys[mid[word]], m_read[mid[word]])
+            tables = keys[mid[word]], m_read[mid[word]]
+            logdist = emit(params, variant, h[at], hw[at], *tables).logdist
             target = targets[word[:nt], min(t, last)]
             score[word[:nt]] += logdist[np.arange(nt), target]
             best = logdist.argmax(axis=1)  # ties break toward the lowest index

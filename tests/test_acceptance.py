@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import synthlang
+from vecphon import cli
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon.data import (SplitSpec, WeightedForm, build_vocab,
                           sample_training_set, split_paradigms)
@@ -109,12 +110,15 @@ def test_criterion_2_probability_mass_accounting():
         # strings longer than the cap: the first cap+1 emissions are all
         # characters, so sum the char-emission mass over every such path
         zx = params.char_emb @ params.lstm_wx.T + params.lstm_b
+        w_h, w_u = params.readout_w[:, :params.d], params.readout_w[:, params.d:]
+        m = params.morph_emb[[0, 1]]
+        keys, m_read = m @ params.attn_t.T, m @ w_u.T
 
         def descend(h, c, prev, depth, logp):
             if depth == cap + 1:
                 return math.exp(logp)
             h, c, _ = lstm_step(params, zx[prev], h, c)
-            logdist = emit(params, variant, h, params.morph_emb[[0, 1]]).logdist
+            logdist = emit(params, variant, h, h @ w_h.T, keys, m_read).logdist
             return sum(descend(h, c, sym, depth + 1, logp + float(logdist[sym]))
                        for sym in range(alphabet.size))
 
@@ -166,14 +170,16 @@ def harmony_runs():
     test_items = [slots[i] for i in test_ix]
     max_len = default_max_len(train_e)
 
-    runs = {}
-    for variant in ALL_VARIANTS:
-        for seed in HARMONY_SEEDS:
-            config = TrainConfig(variant=variant, d=32, max_epochs=40,
-                                 patience=2, seed=seed)
-            params, _ = train(config, train_e, dev_e, alphabet, vocab)
-            report = evaluate(variant, params, alphabet, vocab, test_items, max_len)
-            runs[(variant, seed)] = {"params": params, "acc": report.accuracy}
+    def run(variant, seed):
+        config = TrainConfig(variant=variant, d=32, max_epochs=40,
+                             patience=2, seed=seed)
+        params, _ = train(config, train_e, dev_e, alphabet, vocab)
+        report = evaluate(variant, params, alphabet, vocab, test_items, max_len)
+        return {"morph_emb": params.morph_emb.copy(), "acc": report.accuracy}
+
+    cells = [(variant, seed) for variant in ALL_VARIANTS for seed in HARMONY_SEEDS]
+    with cli.fork_pool(run, len(cells)) as (cell, map_):
+        runs = dict(zip(cells, map_(cell, *zip(*cells))))
     return {"runs": runs, "vocab": vocab}
 
 
@@ -196,7 +202,7 @@ def test_criterion_7_harmony_embedding_geometry(harmony_runs):
     back = [f"suf{j}" for j in range(5, 10)]
     margins = []
     for seed in HARMONY_SEEDS:
-        emb = runs[(Variant.POS_INDEPENDENT, seed)]["params"].morph_emb
+        emb = runs[(Variant.POS_INDEPENDENT, seed)]["morph_emb"]
         vec = {m: emb[vocab.index(m)] for m in front + back}
         within = np.mean([cosine(vec[a], vec[b]) for cls in (front, back)
                           for a, b in combinations(cls, 2)])
@@ -236,7 +242,9 @@ def test_criterion_5_learning_curve():
         return evaluate(Variant.POS_INDEPENDENT, params, alphabet, vocab,
                         test_items, max_len)
 
-    points = resample_eval(protocol, [Variant.POS_INDEPENDENT], [50, 100, 200, 400], 5, seed=7)
+    with cli.fork_pool(protocol, 4 * 5) as (cell, map_):
+        points = resample_eval(cell, [Variant.POS_INDEPENDENT], [50, 100, 200, 400], 5,
+                               seed=7, map=map_)
     accs = [p.acc_mean for p in points]
     drops = [max(0.0, accs[i] - accs[i + 1]) for i in range(len(accs) - 1)]
     n_violations = sum(d > 1e-9 for d in drops)

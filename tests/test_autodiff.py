@@ -102,8 +102,15 @@ def test_matmul_values_by_hand():
 
     params.readout_w[:] = [[1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, -1]]
     params.readout_v[:] = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
-    hu = np.array([[1.0, 1.0, 2.0, -1.0], [0.0, 0.0, 0.0, 0.0]])
-    a, logp = md.readout(params, hu)
+    w_h, w_u = params.readout_w[:, :2], params.readout_w[:, 2:]
+
+    def factored(variant, h, m_rows):  # emit with the tables WordPass builds
+        return md.emit(params, variant, h, h @ w_h.T, m_rows @ params.attn_t.T, m_rows @ w_u.T)
+
+    # the readout of [h; u] = [1, 1; 2, -1] and [0, 0; 0, 0], one morpheme row per state
+    out = factored(md.Variant.POS_INDEPENDENT, np.array([[1.0, 1.0], [0.0, 0.0]]),
+                   np.array([[[2.0, -1.0]], [[0.0, 0.0]]]))
+    a, logp = out.a, out.logdist
     assert np.array_equal(a[0], np.tanh([3.0, 1.0, 0.0, 2.0]))
     assert np.array_equal(a[1], np.zeros(4))
     assert np.allclose(logp[0], md.log_softmax(np.tanh([3.0, 1.0, 0.0])), rtol=0, atol=1e-15)
@@ -111,14 +118,13 @@ def test_matmul_values_by_hand():
 
     params.attn_t[:] = [[1, 0], [0, 2]]
     m_rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    rows = md.attention_log_weights(np.array([[1.0, 2.0], [1.0, 0.0]]), m_rows, params.attn_t)
+    rows = factored(md.Variant.POS_DEPENDENT, np.array([[1.0, 2.0], [1.0, 0.0]]), m_rows).log_alpha
     # h T = [1, 4] and [1, 0]; scores against the rows are [1, 4, 5] and [1, 0, 1]
     assert np.array_equal(rows[0], md.log_softmax(np.array([1.0, 4.0, 5.0])))
     assert np.array_equal(rows[1], md.log_softmax(np.array([1.0, 0.0, 1.0])))
-    # the pos-indep readout input is [h; the mean of the morpheme rows]
-    uf = md.emit(params, md.Variant.POS_INDEPENDENT, np.zeros(2),
-                 np.array([[1.0, 2.0], [3.0, 4.0]])).hu[2:]
-    assert np.array_equal(uf, [2.0, 3.0])
+    # the pos-indep readout reads u = the mean of the morpheme rows
+    uf = factored(md.Variant.POS_INDEPENDENT, np.zeros(2), np.array([[1.0, 2.0], [3.0, 4.0]])).a
+    assert np.array_equal(uf, np.tanh(params.readout_w @ [0.0, 0.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,28 @@ def test_evaluate_writes_reports(tmp_path, capsys):
     assert (ev / "report.txt").exists()
 
 
+def test_evaluate_with_no_scorable_item_writes_strict_json(tmp_path):
+    # every morpheme is unknown, so no item has a surprisal: report.json
+    # says null, which strict JSON parsers accept, where NaN is not JSON
+    data, out = train_toy(tmp_path)
+    rows = [line.split("\t") for line in open(data).read().splitlines()][:3]
+    corpus = tmp_path / "unknown.tsv"
+    corpus.write_text("".join(f"nosuchstem{i}\t{form}\tnosuchfeature\n"
+                              for i, (_, form, _) in enumerate(rows)))
+    ev = tmp_path / "ev"
+    assert main(["evaluate", "--checkpoint", os.path.join(out, "checkpoint.vpck"),
+                 "--data", str(corpus), "--max-len", "12", "--out-dir", str(ev)]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((ev / "report.json").read_text(), parse_constant=reject)
+    assert report["mean_surprisal"] is None
+    assert report["n_unknown"] == report["n_items"] == 3
+    assert all(item["surprisal"] is None for item in report["items"])
+    assert "nan" in (ev / "report.txt").read_text()
+
+
 def test_evaluate_foreign_symbols_is_compatibility_error(tmp_path, capsys):
     data, out = train_toy(tmp_path)
     bad = tmp_path / "bad.tsv"

@@ -10,8 +10,7 @@ import pytest
 
 from vecphon import model as md
 from vecphon.errors import DataError
-from vecphon.model import (Variant, WordPass, attention_log_weights, emit,
-                           init_params, lstm_step, readout)
+from vecphon.model import Variant, WordPass, emit, init_params, lstm_step
 from vecphon.training import mean_dev_loss
 from vecphon.vocab import Alphabet, LexiconEntry
 
@@ -32,12 +31,30 @@ def input_share(params, x):
     return params.lstm_wx @ x + params.lstm_b
 
 
-def attention_weights(h, m, attn_t):
-    return np.exp(attention_log_weights(h, m, attn_t))
+def emit_rows(params, variant, h, m, noise=None):
+    """``emit`` for decoder states h given morpheme rows m (k, d), with the
+    readout shares and attention keys built from the rows as WordPass
+    builds them; ``noise`` is added to the underlying form."""
+    w_h, w_u = params.readout_w[:, :params.d], params.readout_w[:, params.d:]
+    return emit(params, variant, h, h @ w_h.T, m @ params.attn_t.T, m @ w_u.T,
+                None if noise is None else noise @ w_u.T)
+
+
+def oracle(params, h, u):
+    """The unfactored readout of one state h and underlying form u:
+    log_softmax(V tanh(W [h; u]))."""
+    return md.log_softmax(params.readout_v @ np.tanh(params.readout_w @ np.concatenate([h, u])))
 
 
 def emission(h, u, params):
-    return readout(params, np.concatenate([h, u]))[1]
+    """The model's readout at underlying form u: pos-indep over one row."""
+    return emit_rows(params, Variant.POS_INDEPENDENT, h, u[None]).logdist
+
+
+def attention_weights(params, h, m, attn_t):
+    """pos-dep's attention weights over rows m, with attn_t written into params."""
+    params.attn_t[:] = attn_t
+    return np.exp(emit_rows(params, Variant.POS_DEPENDENT, h, m).log_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +145,9 @@ def test_attention_zero_t_uniform_and_single_morpheme():
     m = rng.normal(size=(3, params.d))
     h = rng.normal(size=params.d)
     params.attn_t[:] = 0.0
-    alpha = attention_weights(h, m, params.attn_t)
+    alpha = attention_weights(params, h, m, params.attn_t)
     assert np.allclose(alpha, 1.0 / 3.0, atol=1e-12)
-    single = attention_weights(h, rng.normal(size=(1, params.d)), params.attn_t)
+    single = attention_weights(params, h, rng.normal(size=(1, params.d)), params.attn_t)
     assert np.allclose(single, [1.0])
 
 
@@ -140,31 +157,33 @@ def test_attention_simplex_and_temperature_sharpening():
         m = rng.normal(size=(4, params.d))
         h = rng.normal(size=params.d)
         t = rng.normal(size=(params.d, params.d))
-        alpha = attention_weights(h, m, t)
+        alpha = attention_weights(params, h, m, t)
         assert abs(alpha.sum() - 1.0) < 1e-10 and np.all(alpha >= 0)
         top = int(np.argmax(alpha))
         for scale in (2.0, 5.0):
-            sharper = attention_weights(h, m, t * scale)
+            sharper = attention_weights(params, h, m, t * scale)
             assert int(np.argmax(sharper)) == top
             assert sharper[top] >= alpha[top] - 1e-12
 
 
 def test_uf_means():
-    def uf_mean(m):
-        # the pos-indep readout input is [h; u]
+    def reads_mean(m, mean):
+        # pos-indep reads u = the mean of the morpheme rows
         d = m.shape[1]
         _, params, _ = tiny_setup(d=d)
-        return emit(params, Variant.POS_INDEPENDENT, np.zeros(d), m).hu[d:]
+        h = np.zeros(d)
+        got = emit_rows(params, Variant.POS_INDEPENDENT, h, m).logdist
+        return np.allclose(got, oracle(params, h, mean), rtol=0, atol=1e-12)
 
     rng = np.random.default_rng(8)
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    mean = uf_mean(np.stack([e1, e2]))
-    assert np.allclose(mean, [0.5, 0.5])
+    assert reads_mean(np.stack([e1, e2]), [0.5, 0.5])
+    assert not reads_mean(np.stack([e1, e2]), e1)
     row = rng.normal(size=4)
-    assert np.allclose(uf_mean(row[None, :]), row)
+    assert reads_mean(row[None, :], row)
     same = np.stack([row, row])
-    assert np.allclose(uf_mean(same), row)
+    assert reads_mean(same, row)
 
 
 def test_uf_pos_dependent_in_convex_hull():
@@ -174,10 +193,11 @@ def test_uf_pos_dependent_in_convex_hull():
         m = rng.normal(size=(k, params.d))
         h = rng.normal(size=params.d)
         params.attn_t[:] = rng.normal(size=(params.d, params.d))
-        # the pos-dep readout input is [h; alpha @ m]
-        mean = emit(params, Variant.POS_DEPENDENT, h, m).hu[params.d:]
-        alpha = attention_weights(h, m, params.attn_t)
-        assert np.allclose(mean, alpha @ m, atol=1e-12)
+        # pos-dep reads u = alpha @ m
+        got = emit_rows(params, Variant.POS_DEPENDENT, h, m).logdist
+        alpha = attention_weights(params, h, m, params.attn_t)
+        mean = alpha @ m
+        assert np.allclose(got, oracle(params, h, mean), rtol=0, atol=1e-12)
         # convex combination: inside the coordinate-wise envelope
         assert np.all(mean <= m.max(axis=0) + 1e-12)
         assert np.all(mean >= m.min(axis=0) - 1e-12)
@@ -187,8 +207,8 @@ def test_joint_single_morpheme_equals_plain_emission():
     alphabet, params, rng = tiny_setup(seed=10)
     m = rng.normal(size=(1, params.d))
     h = rng.normal(size=params.d)
-    joint = emit(params, Variant.JOINT, h, m).logdist
-    plain = emission(h, m[0], params)
+    joint = emit_rows(params, Variant.JOINT, h, m).logdist
+    plain = oracle(params, h, m[0])
     assert np.allclose(joint, plain, atol=1e-12)
 
 
@@ -197,10 +217,29 @@ def test_joint_zero_t_two_morphemes_averages_components():
     params.attn_t[:] = 0.0
     m = rng.normal(size=(2, params.d))
     h = rng.normal(size=params.d)
-    mix = np.exp(emit(params, Variant.JOINT, h, m).logdist)
-    p0 = np.exp(emission(h, m[0], params))
-    p1 = np.exp(emission(h, m[1], params))
+    mix = np.exp(emit_rows(params, Variant.JOINT, h, m).logdist)
+    p0 = np.exp(oracle(params, h, m[0]))
+    p1 = np.exp(oracle(params, h, m[1]))
     assert np.allclose(mix, 0.5 * p0 + 0.5 * p1, atol=1e-12)
+
+
+def test_noise_enters_the_underlying_form():
+    # emit takes the noise as its readout share eps W_u^T: the same as the
+    # unfactored readout at u + eps, one eps per word for pos-indep and
+    # one per state for pos-dep
+    alphabet, params, rng = tiny_setup(seed=19, weight_scale=3.0)
+    m = rng.normal(size=(3, params.d))
+    h = rng.normal(size=(4, params.d))
+    eps = rng.normal(size=(4, params.d))
+    pi = emit_rows(params, Variant.POS_INDEPENDENT, h, m, eps[0]).logdist
+    out = emit_rows(params, Variant.POS_DEPENDENT, h, m, eps)
+    alpha = np.exp(out.log_alpha)
+    for t in range(4):
+        assert np.allclose(pi[t], oracle(params, h[t], m.mean(axis=0) + eps[0]),
+                           rtol=0, atol=1e-12)
+        assert np.allclose(out.logdist[t], oracle(params, h[t], alpha[t] @ m + eps[t]),
+                           rtol=0, atol=1e-12)
+    assert not np.allclose(pi, emit_rows(params, Variant.POS_INDEPENDENT, h, m).logdist)
 
 
 def test_per_step_distributions_normalize_all_variants():
@@ -212,7 +251,7 @@ def test_per_step_distributions_normalize_all_variants():
             prev = alphabet.bos_id
             for sym in [0, 1, 2]:
                 h, c, _ = lstm_step(params, input_share(params, params.char_emb[prev]), h, c)
-                logdist = emit(params, variant, h, params.morph_emb[morphemes]).logdist
+                logdist = emit_rows(params, variant, h, params.morph_emb[morphemes]).logdist
                 assert abs(np.exp(logdist).sum() - 1.0) < 1e-10
                 prev = sym
 
@@ -389,7 +428,7 @@ def test_decoder_steps_match_teacher_forced_pass():
         prev = alphabet.bos_id
         for t, sym in enumerate(entry.form + (None,)):
             h, c, _ = lstm_step(params, input_share(params, params.char_emb[prev]), h, c)
-            logdist = emit(params, variant, h, m_rows).logdist
+            logdist = emit_rows(params, variant, h, m_rows).logdist
             assert np.max(np.abs(logdist - scored[t])) < 1e-12, (variant, t)
             prev = sym
 
@@ -404,7 +443,7 @@ def reference_decode(variant, morphemes, params, alphabet, max_len):
     prev, out = alphabet.bos_id, []
     while len(out) < max_len:
         h, c, _ = lstm_step(params, input_share(params, params.char_emb[prev]), h, c)
-        prev = int(np.argmax(emit(params, variant, h, m_rows).logdist))
+        prev = int(np.argmax(emit_rows(params, variant, h, m_rows).logdist))
         if prev == alphabet.eos_out:
             break
         out.append(prev)
