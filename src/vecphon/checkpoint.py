@@ -109,6 +109,8 @@ def load_checkpoint(path) -> tuple[ModelParams, Variant, Alphabet, MorphemeVocab
     except ValueError as e:
         raise CheckpointError(str(e)) from None
     d = r.u32("hidden size")
+    if d < 1:
+        raise CheckpointError("hidden size 0: a model needs d >= 1")
     n_sym = r.u32("alphabet size")
     symbols = [r.string(f"symbol {i}") for i in range(n_sym)]
     alphabet = Alphabet(symbols)

@@ -26,9 +26,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (SplitSpec, build_vocab, parse_unimorph_tsv, parse_weighted_tsv,
                    read_lines, read_split_manifest, sample_training_set,
                    split_paradigms, write_atomic, write_split_manifest)
-from .embeddings import PROJECTIONS, cosine, export_rows, write_embeddings
 from .errors import CompatibilityError, ConfigError, DataError, TrainingError, VecphonError
-from .evaluation import EvalReport, evaluate, predict, resample_eval
+from .evaluation import EvalReport, cosine, evaluate, pca2, predict, resample_eval
 from .model import Variant
 from .seeds import derive_rng, derive_seed
 from .training import TrainConfig, train
@@ -280,10 +279,11 @@ def cmd_export_embeddings(ns) -> None:
         a, b = params.morph_emb[parse_list(ns.similarity, vocab.index, "--similarity identifiers", 2)]
         print(f"{cosine(a, b):.6f}")
         return
-    rows = export_rows(params, vocab, ns.projection)
+    table = pca2(params.morph_emb) if ns.projection == "pca2" else params.morph_emb
     out_path = ns.out or os.path.join(ns.out_dir, "embeddings.tsv")
-    write_embeddings(out_path, rows)
-    print(f"wrote {len(rows)} rows to {out_path}")
+    write_atomic(out_path, "".join(ident + "".join(f"\t{v:.9g}" for v in row) + "\n"
+                                   for ident, row in zip(vocab.identifiers, table)))
+    print(f"wrote {len(table)} rows to {out_path}")
 
 
 def worker_count(cores: int, cells: int, environ) -> int:
@@ -456,7 +456,7 @@ def build_parser():
 
     p = command("export-embeddings", cmd_export_embeddings, "dump morpheme vectors")
     p.add_argument("--checkpoint")
-    p.add_argument("--projection", default="none", choices=PROJECTIONS)
+    p.add_argument("--projection", default="none", choices=("none", "pca2"))
     p.add_argument("--out", help="output file (default: out-dir/embeddings.tsv)")
     p.add_argument("--similarity", metavar="A,B",
                    help="print the cosine of two morphemes' embeddings and exit")
@@ -487,6 +487,11 @@ def main(argv=None) -> int:
         if ns.config:
             apply_config_file(ns.config, subcommands)
             ns = parser.parse_args(argv)
+        for key, action in options(subcommands[ns.command]).items():
+            value = getattr(ns, action.dest)
+            if isinstance(value, str) and ("\n" in value or value != value.strip()):
+                raise ConfigError(f"{key} value {value!r} has a line break or blank ends, "
+                                  "which config.txt could not replay")
         os.makedirs(ns.out_dir, exist_ok=True)
         with np.errstate(all="ignore"):  # non-finite results are checked explicitly
             ns.func(ns)

@@ -1,5 +1,7 @@
 """Metrics and significance: exact-match accuracy, mean edit distance,
-per-symbol surprisal, resample aggregation, paired permutation test.
+per-symbol surprisal, resample aggregation, paired permutation test, and
+the two reads of the morpheme embeddings: ``pca2`` (a 2-D projection)
+and ``cosine``.
 
 ``predict`` spells and scores; ``evaluate`` is ``predict`` plus edit
 distances and aggregation. ``predict`` decodes all known requests, and
@@ -151,6 +153,33 @@ def resample_eval(protocol: Callable[[Variant, int, int], EvalReport],
             nll = mean_sd([r.mean_surprisal for r in runs])
             points.append(CurvePoint(variant, k, acc[0], acc[1], mld[0], mld[1], nll[0], nll[1]))
     return points
+
+
+# ---------------------------------------------------------------------------
+# morpheme embeddings
+
+def pca2(x: np.ndarray) -> np.ndarray:
+    """Scores on the top two principal components of the mean-centered
+    rows of x; requires at least 2 rows and 2 columns. Each axis's
+    largest-magnitude loading is made positive, so the signs are fixed."""
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
+        raise ConfigError(f"pca2 needs at least a 2x2 table, got shape {x.shape}")
+    centered = x - x.mean(axis=0)
+    u, s, vt = np.linalg.svd(centered, full_matrices=False)
+    for i in range(2):
+        pivot = np.argmax(np.abs(vt[i]))
+        if vt[i, pivot] < 0:
+            vt[i] = -vt[i]
+            u[:, i] = -u[:, i]
+    return u[:, :2] * s[:2]
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
 
 
 # ---------------------------------------------------------------------------

@@ -399,11 +399,11 @@ BATCH_WORDS = 64  # words of one morpheme count per lockstep chunk; bounds a ste
 
 
 def spell_and_score(variant: Variant, morphemes: Sequence[Sequence[int]],
-                    forms: Sequence[Sequence[int] | None] | None, params: ModelParams,
+                    forms: Sequence[Sequence[int] | None], params: ModelParams,
                     alphabet: Alphabet, max_len: int | None = None) -> tuple[list, np.ndarray]:
     """Noise-free greedy spelling and gold log-probability of each word,
     in one lockstep pass. ``morphemes[i]`` are word i's morpheme ids and
-    ``forms[i]`` its gold symbols or None (``forms`` None: no gold).
+    ``forms[i]`` its gold symbols or None.
     Returns, in input order, the BOS/EOS-free argmax symbols until EOS or
     ``max_len`` symbols (all empty when ``max_len`` is None, which only
     scores) and ``WordPass.logprob`` at the noise-free mean (NaN without
@@ -416,7 +416,6 @@ def spell_and_score(variant: Variant, morphemes: Sequence[Sequence[int]],
     and each step runs the LSTM and the readout's state half once per
     distinct prefix. The BOS state and the morphemes' attention keys and
     readout shares are computed once per call."""
-    forms = [None] * len(morphemes) if forms is None else forms
     if not all(map(len, morphemes)):
         raise DataError("a word needs at least one morpheme")
     if max_len is not None and max_len < 1:
@@ -480,9 +479,3 @@ def spell_and_score(variant: Variant, morphemes: Sequence[Sequence[int]],
     if not np.all(np.isfinite(logprobs[[f is not None for f in forms]])):
         raise NumericError("non-finite word log-probability")
     return spelled, logprobs
-
-
-def default_max_len(train_entries: Sequence[LexiconEntry]) -> int:
-    """Decoding length cap: twice the longest training form plus slack."""
-    longest = max((len(e.form) for e in train_entries), default=1)
-    return 2 * longest + 5

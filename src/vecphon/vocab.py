@@ -103,11 +103,6 @@ class MorphemeVocab:
         except KeyError:
             raise VocabularyError(f"unknown morpheme {identifier!r}") from None
 
-    def identifier(self, i: int) -> str:
-        if not 0 <= i < len(self.identifiers):
-            raise VocabularyError(f"morpheme index {i} out of range")
-        return self.identifiers[i]
-
     def __eq__(self, other):
         return isinstance(other, MorphemeVocab) and self.identifiers == other.identifiers
 

@@ -20,11 +20,10 @@ from vecphon import cli
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon.data import (SplitSpec, WeightedForm, build_vocab,
                           sample_training_set, split_paradigms)
-from vecphon.embeddings import cosine
-from vecphon.evaluation import (evaluate, levenshtein,
+from vecphon.evaluation import (cosine, evaluate, levenshtein,
                                 paired_permutation_test, resample_eval)
-from vecphon.model import (Variant, WordPass, default_max_len, emit, init_params,
-                           lstm_step, spell_and_score)
+from vecphon.model import (Variant, WordPass, emit, init_params, lstm_step,
+                           spell_and_score)
 from vecphon.seeds import derive_rng, derive_seed
 from vecphon.training import TrainConfig, mean_dev_loss, train
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab, encode_entry
@@ -142,7 +141,7 @@ def test_criterion_3_overfit_small_corpus():
                          patience=3, seed=11)
     params, log = train(config, entries, entries, alphabet, vocab)
     report = evaluate(Variant.POS_INDEPENDENT, params, alphabet, vocab,
-                      list(slots), default_max_len(entries))
+                      list(slots), 2 * max(len(e.form) for e in entries) + 5)
     elapsed = time.monotonic() - t0
     ok = report.accuracy >= 99.0 and len(log.records) <= 500 and elapsed < 300.0
     verdict("criterion 3 (overfit)", ok,
@@ -168,7 +167,7 @@ def harmony_runs():
     train_e = [encode_entry(alphabet, vocab, *slots[i]) for i in train_ix]
     dev_e = [encode_entry(alphabet, vocab, *slots[i]) for i in dev_ix]
     test_items = [slots[i] for i in test_ix]
-    max_len = default_max_len(train_e)
+    max_len = 2 * max(len(e.form) for e in train_e) + 5
 
     def run(variant, seed):
         config = TrainConfig(variant=variant, d=32, max_epochs=40,

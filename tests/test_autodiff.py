@@ -1,4 +1,5 @@
-"""Gradient and optimizer checks.
+"""Gradient and optimizer checks: the model's normalizers, backward
+pass, dropout and parameter layout, and ``Adam`` and clipping.
 
 The model's hand-derived backward pass is compared against central
 finite differences of its own forward pass; optimizer updates on the
@@ -333,7 +334,7 @@ def test_backward_twice_equals_backward_of_sum():
         assert np.allclose(both.flat, separate[0] + separate[1], rtol=0, atol=1e-15)
 
 
-def test_tape_is_deterministic():
+def test_word_pass_is_deterministic():
     # the same word, parameters, noise and dropout draws give a bitwise
     # identical log-probability and gradient
     alphabet, params = word_setup(19, d=4)
@@ -350,7 +351,7 @@ def test_tape_is_deterministic():
         assert np.array_equal(runs[0][1], runs[1][1])
 
 
-def test_backward_frees_intermediate_grads_and_clear_drops_records():
+def test_backward_repeats_and_leaves_the_forward_pass():
     # the backward pass keeps no gradient state of its own and changes
     # neither the parameters nor the recorded forward pass: run again, it
     # gives exactly the same gradient, and into the same buffer it adds
@@ -372,7 +373,7 @@ def test_backward_frees_intermediate_grads_and_clear_drops_records():
         assert np.array_equal(params.flat, before)
 
 
-def test_backward_rejects_non_scalar():
+def test_backward_rejects_a_buffer_of_another_layout():
     # the backward pass writes only into a gradient buffer laid out like
     # its parameters; another layout would take the updates silently
     alphabet, params = word_setup(21)
@@ -395,7 +396,7 @@ def test_shape_errors():
                  params, alphabet)
 
 
-def test_narrow_grads():
+def test_fields_tile_the_flat_buffer():
     # each field is a slice of the flat buffer: the fields tile it in
     # FIELD_NAMES order with no gap or overlap, so a gradient written
     # through a field of `like()` lands in that slice of the gradient buffer

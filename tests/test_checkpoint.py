@@ -9,7 +9,7 @@ import pytest
 
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon.errors import CheckpointError, VecphonError
-from vecphon.model import Variant, init_params
+from vecphon.model import ModelParams, Variant, init_params, param_shapes
 from vecphon.vocab import Alphabet, MorphemeVocab
 
 
@@ -106,6 +106,16 @@ def test_tensor_list_must_follow_param_shapes(tmp_path):
     big_d.write_bytes(raw[:d_at] + (1000).to_bytes(4, "little") + raw[d_at + 4:])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(big_d)
+
+
+def test_hidden_size_zero_rejected(tmp_path):
+    # nothing trains d=0, but such a file must not load and spell
+    _, alphabet, vocab = setup()
+    path = tmp_path / "d0.vpck"
+    save_checkpoint(path, ModelParams(param_shapes(0, len(vocab), alphabet)),
+                    Variant.POS_INDEPENDENT, alphabet, vocab)
+    with pytest.raises(CheckpointError, match="hidden size 0"):
+        load_checkpoint(path)
 
 
 def test_non_finite_rejected(tmp_path):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,9 +64,9 @@ def test_train_writes_expected_artifacts(tmp_path):
                  "split/train.idx", "split/dev.idx", "split/test.idx",
                  "split/seed.txt"):
         assert os.path.exists(os.path.join(out, name)), name
-    log = open(os.path.join(out, "trainlog.tsv")).read()
+    log = Path(out, "trainlog.tsv").read_text()
     assert log.startswith("# epoch\ttrain_loss\tdev_loss\tlr")
-    config = open(os.path.join(out, "config.txt")).read().splitlines()
+    config = Path(out, "config.txt").read_text().splitlines()
     assert config[0] == "command=train"
     assert "dim=8" in config and "seed=5" in config
 
@@ -73,11 +74,11 @@ def test_train_writes_expected_artifacts(tmp_path):
 def test_train_rerun_is_bitwise_identical(tmp_path):
     _, out1 = train_toy(tmp_path, "a")
     _, out2 = train_toy(tmp_path, "b")
-    log1 = open(os.path.join(out1, "trainlog.tsv"), "rb").read()
-    log2 = open(os.path.join(out2, "trainlog.tsv"), "rb").read()
+    log1 = Path(out1, "trainlog.tsv").read_bytes()
+    log2 = Path(out2, "trainlog.tsv").read_bytes()
     assert log1 == log2
-    ck1 = open(os.path.join(out1, "checkpoint.vpck"), "rb").read()
-    ck2 = open(os.path.join(out2, "checkpoint.vpck"), "rb").read()
+    ck1 = Path(out1, "checkpoint.vpck").read_bytes()
+    ck2 = Path(out2, "checkpoint.vpck").read_bytes()
     assert ck1 == ck2
 
 
@@ -89,7 +90,7 @@ def test_config_file_sets_defaults_and_flags_override(tmp_path):
     rc = main(["train", "--config", str(cfg), "--data", data,
                "--out-dir", str(out), "--dim", "6"])
     assert rc == 0
-    lines = open(out / "config.txt").read().splitlines()
+    lines = (out / "config.txt").read_text().splitlines()
     assert "dim=6" in lines          # flag beats config file
     assert "seed=3" in lines         # config file beats built-in default
     assert "variant=joint" in lines
@@ -150,7 +151,8 @@ def test_predict_gold_column_emits_surprisal(tmp_path):
 def test_predict_gold_repeats_evaluate(tmp_path):
     data, out = train_toy(tmp_path)
     ckpt = os.path.join(out, "checkpoint.vpck")
-    rows = [line.split("\t") for line in open(data).read().splitlines()]  # lemma, form, features
+    # lemma, form, features
+    rows = [line.split("\t") for line in Path(data).read_text().splitlines()]
     rows.append(["nosuchstem", rows[0][1], rows[0][2]])
     corpus = tmp_path / "with-unknown.tsv"
     corpus.write_text("".join(f"{lemma}\t{form}\t{feats}\n" for lemma, form, feats in rows))
@@ -200,7 +202,7 @@ def test_evaluate_with_no_scorable_item_writes_strict_json(tmp_path):
     # every morpheme is unknown, so no item has a surprisal: report.json
     # says null, which strict JSON parsers accept, where NaN is not JSON
     data, out = train_toy(tmp_path)
-    rows = [line.split("\t") for line in open(data).read().splitlines()][:3]
+    rows = [line.split("\t") for line in Path(data).read_text().splitlines()][:3]
     corpus = tmp_path / "unknown.tsv"
     corpus.write_text("".join(f"nosuchstem{i}\t{form}\tnosuchfeature\n"
                               for i, (_, form, _) in enumerate(rows)))
@@ -253,7 +255,7 @@ def test_export_embeddings_and_similarity(tmp_path, capsys):
                "--projection", "pca2", "--out-dir", str(em)])
     assert rc == 0
     capsys.readouterr()
-    rows = open(em / "embeddings.tsv").read().splitlines()
+    rows = (em / "embeddings.tsv").read_text().splitlines()
     assert len(rows) == 10  # 6 stems + 4 suffixes
     assert all(len(r.split("\t")) == 3 for r in rows)  # id + 2 components
 
@@ -277,7 +279,7 @@ def test_resample_emits_curve_columns(tmp_path):
                "--resamples", "2", "--dim", "8", "--epochs", "2",
                "--variants", "pos-indep,joint", "--out-dir", str(rs)])
     assert rc == 0
-    lines = open(rs / "curve.tsv").read().splitlines()
+    lines = (rs / "curve.tsv").read_text().splitlines()
     assert lines[0] == "k\tvariant\tacc_mean\tacc_sd\tmld_mean\tmld_sd\tnll_mean\tnll_sd"
     assert len(lines) == 1 + 2 * 2  # sizes x variants
     ks = [line.split("\t")[0] for line in lines[1:]]
@@ -558,8 +560,13 @@ def test_exit_codes(tmp_path, capsys):
         (["train", "--config", str(nul_out_dir), "--data", data], 2, "config: "),
         (["predict", "--checkpoint", "a\0b", "--morphemes", "a+b", "--out-dir", x], 2,
          "config: "),
-        (["predict", "--checkpoint", "a\nb", "--morphemes", "a+b", "--out-dir", x], 1,
-         "checkpoint a\\nb"),                # the line break is written as \n
+        (["predict", "--config", "a\nb", "--morphemes", "a+b", "--out-dir", x], 2,
+         "no such file: a\\nb"),           # the line break is written as \n
+        # values that config.txt could not replay: a line break, blank ends
+        (evaluate + ["--run-name", "a\nb"], 2, "config: run-name"),
+        (["train", "--data", " " + data, "--out-dir", x], 2, "config: data"),
+        (evaluate + ["--run-name", "ev "], 2, "config: run-name"),
+        (["train", "--data= " + data, "--out-dir", x], 2, "config: data"),
         (["evaluate", "--run-name", "\udcff", "--checkpoint", ckpt, "--data", data,
           "--out-dir", x], 2, "not UTF-8"),   # how Python decodes a non-UTF-8 argv byte
     ]
@@ -813,7 +820,7 @@ def test_train_with_sample_k(tmp_path):
     rc = main(["train", "--weighted-data", str(wdata), "--sample-k", "8",
                "--out-dir", str(out), "--dim", "8", "--epochs", "2"])
     assert rc == 0
-    msg = open(out / "config.txt").read()
+    msg = (out / "config.txt").read_text()
     assert "sample-k=8" in msg
     assert (out / "checkpoint.vpck").exists()
 
@@ -836,7 +843,7 @@ def test_config_echo_lists_every_option_of_the_subcommand(tmp_path):
         assert main([command, *argv, "--out-dir", runs[command]]) == 0, command
     _, subcommands = build_parser()
     for command, out_dir in runs.items():
-        lines = open(os.path.join(out_dir, "config.txt")).read().splitlines()
+        lines = Path(out_dir, "config.txt").read_text().splitlines()
         assert lines[0] == f"command={command}"
         keys = [line.split("=", 1)[0] for line in lines[1:]]
         assert sorted(keys) == sorted(option_actions(subcommands[command])), command
@@ -858,9 +865,9 @@ def test_config_echo_replays_the_run(tmp_path):
         assert main([command, "--config", os.path.join(first, "config.txt"),
                      "--out-dir", again]) == 0, command
         for name in names:
-            a, b = (open(os.path.join(d, name), "rb").read() for d in (first, again))
+            a, b = (Path(d, name).read_bytes() for d in (first, again))
             assert a == b, (command, name)
-        echoes = [[line for line in open(os.path.join(d, "config.txt")).read().splitlines()
+        echoes = [[line for line in Path(d, "config.txt").read_text().splitlines()
                    if not line.startswith("out-dir=")] for d in (first, again)]
         assert echoes[0] == echoes[1], command
 

@@ -5,37 +5,50 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vecphon.embeddings import cosine, export_rows, pca2, write_embeddings
-from vecphon.errors import ConfigError
-from vecphon.model import init_params
+from vecphon.checkpoint import save_checkpoint
+from vecphon.cli import main
+from vecphon.evaluation import cosine, pca2
+from vecphon.model import Variant, init_params
 from vecphon.vocab import Alphabet, MorphemeVocab
+
+
+def export(tmp_path, params, vocab, projection):
+    """Exit status and, on success, rows of ``export-embeddings`` on a
+    checkpoint of ``params``."""
+    tmp_path.mkdir(exist_ok=True)
+    ckpt = tmp_path / "m.vpck"
+    save_checkpoint(ckpt, params, Variant.POS_INDEPENDENT, Alphabet("ab"), vocab)
+    rc = main(["export-embeddings", "--checkpoint", str(ckpt), "--projection", projection,
+               "--out-dir", str(tmp_path)])
+    if rc:
+        return rc, None
+    text = (tmp_path / "embeddings.tsv").read_text(encoding="utf-8")
+    return rc, [line.split("\t") for line in text.splitlines()]
 
 
 def test_export_none_gives_raw_rows(tmp_path):
     alphabet = Alphabet("ab")
     vocab = MorphemeVocab(["m0", "m1", "m2"])
     params = init_params(np.random.default_rng(0), 3, alphabet, 6)
-    rows = export_rows(params, vocab, "none")
-    assert [ident for ident, _ in rows] == ["m0", "m1", "m2"]
-    for i, (_, vec) in enumerate(rows):
-        assert np.array_equal(vec, params.morph_emb[i])
-    path = tmp_path / "emb.tsv"
-    write_embeddings(path, rows)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 3 and all(len(l.split("\t")) == 7 for l in lines)
+    rc, rows = export(tmp_path, params, vocab, "none")
+    assert rc == 0
+    assert [ident for ident, *_ in rows] == ["m0", "m1", "m2"]
+    for i, (_, *vec) in enumerate(rows):  # the checkpoint holds f32 values
+        assert np.array_equal(np.array(vec, dtype=np.float32),
+                              params.morph_emb[i].astype(np.float32))
+    assert len(rows) == 3 and all(len(row) == 7 for row in rows)
 
 
-def test_export_pca2_shape_and_errors():
+def test_export_pca2_shape_and_errors(tmp_path):
     alphabet = Alphabet("ab")
     vocab = MorphemeVocab(["m0", "m1", "m2"])
     params = init_params(np.random.default_rng(1), 3, alphabet, 6)
-    rows = export_rows(params, vocab, "pca2")
-    assert all(vec.shape == (2,) for _, vec in rows)
-    with pytest.raises(ConfigError):
-        export_rows(params, vocab, "tsne")
+    rc, rows = export(tmp_path / "pca2", params, vocab, "pca2")
+    assert rc == 0
+    assert all(len(row) == 1 + 2 for row in rows)
+    assert export(tmp_path / "tsne", params, vocab, "tsne")[0] == 2
     solo = init_params(np.random.default_rng(2), 1, alphabet, 6)
-    with pytest.raises(ConfigError):
-        export_rows(solo, MorphemeVocab(["only"]), "pca2")
+    assert export(tmp_path / "solo", solo, MorphemeVocab(["only"]), "pca2")[0] == 2
 
 
 def test_pca2_captures_dominant_direction():

@@ -122,7 +122,7 @@ def test_predict_matches_per_word_decoding_and_scoring():
                 continue
             ids = [vocab.index(m) for m in morphemes]
             assert r.predicted == alphabet.decode(
-                spell_and_score(variant, [ids], None, params, alphabet, max_len=5)[0][0])
+                spell_and_score(variant, [ids], [None], params, alphabet, max_len=5)[0][0])
             if gold in (None, "", "axb"):
                 assert r.surprisal is None
                 continue

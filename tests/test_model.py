@@ -307,7 +307,7 @@ def test_greedy_decode_eos_rigged_gives_empty():
     alphabet, params, _ = tiny_setup()
     rig_eos_at_step_one(params, alphabet)
     for variant in ALL_VARIANTS:
-        assert md.spell_and_score(variant, [[0]], None, params, alphabet, max_len=10)[0][0] == ()
+        assert md.spell_and_score(variant, [[0]], [None], params, alphabet, max_len=10)[0][0] == ()
 
 
 def test_decode_memory_follows_steps_taken_not_max_len():
@@ -316,12 +316,12 @@ def test_decode_memory_follows_steps_taken_not_max_len():
     alphabet, params, _ = tiny_setup(n_morphs=4)
     params.morph_emb[:] = params.morph_emb[0]
     rig_eos_at_step_one(params, alphabet)
-    words = [[0], [2], [1, 3], [3, 0, 1]]
+    words, no_gold = [[0], [2], [1, 3], [3, 0, 1]], [None] * 4
     for variant in ALL_VARIANTS:
-        short = md.spell_and_score(variant, words, None, params, alphabet, max_len=15)[0]
+        short = md.spell_and_score(variant, words, no_gold, params, alphabet, max_len=15)[0]
         tracemalloc.start()
         try:
-            huge = md.spell_and_score(variant, words, None, params, alphabet, max_len=10**6)[0]
+            huge = md.spell_and_score(variant, words, no_gold, params, alphabet, max_len=10**6)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,12 +332,12 @@ def test_decode_memory_follows_steps_taken_not_max_len():
 def test_greedy_decode_deterministic_and_capped():
     alphabet, params, _ = tiny_setup(seed=14)
     for variant in ALL_VARIANTS:
-        a = md.spell_and_score(variant, [[0, 2]], None, params, alphabet, max_len=8)[0][0]
-        b = md.spell_and_score(variant, [[0, 2]], None, params, alphabet, max_len=8)[0][0]
+        a = md.spell_and_score(variant, [[0, 2]], [None], params, alphabet, max_len=8)[0][0]
+        b = md.spell_and_score(variant, [[0, 2]], [None], params, alphabet, max_len=8)[0][0]
         assert a == b
         assert len(a) <= 8
     with pytest.raises(DataError):
-        md.spell_and_score(Variant.JOINT, [[0]], None, params, alphabet, max_len=0)
+        md.spell_and_score(Variant.JOINT, [[0]], [None], params, alphabet, max_len=0)
 
 
 def test_morpheme_gradient_sparsity():
@@ -355,15 +355,9 @@ def test_empty_morpheme_sequence_is_data_error():
     alphabet, params, _ = tiny_setup(seed=17)
     for variant in ALL_VARIANTS:
         with pytest.raises(DataError, match="at least one morpheme"):
-            md.spell_and_score(variant, [[0], []], None, params, alphabet, 5)
+            md.spell_and_score(variant, [[0], []], [None] * 2, params, alphabet, 5)
         with pytest.raises(DataError, match="at least one morpheme"):
             md.spell_and_score(variant, [()], [(0,)], params, alphabet)
-
-
-def test_default_max_len():
-    entries = [LexiconEntry((0,), (0,) * 7), LexiconEntry((0,), (0, 1))]
-    assert md.default_max_len(entries) == 19
-    assert md.default_max_len([]) == 7
 
 
 def test_variant_tags():
@@ -467,13 +461,14 @@ def test_lockstep_inference_matches_per_word():
     assert sum((len(w.morphemes), len(w.form)) == (2, 3) for w in words) > md.BATCH_WORDS
     morphemes, forms = [w.morphemes for w in words], [w.form for w in words]
     some_gold = [f if i % 3 else None for i, f in enumerate(forms)]
+    no_gold = [None] * len(words)
     for variant in ALL_VARIANTS:
-        spelled = md.spell_and_score(variant, morphemes, None, params, alphabet, 5)[0]
+        spelled = md.spell_and_score(variant, morphemes, no_gold, params, alphabet, 5)[0]
         assert spelled == [reference_decode(variant, m, params, alphabet, 5) for m in morphemes]
-        assert spelled == [md.spell_and_score(variant, [m], None, params, alphabet, 5)[0][0]
+        assert spelled == [md.spell_and_score(variant, [m], [None], params, alphabet, 5)[0][0]
                            for m in morphemes]
         assert {0, 5} < {len(s) for s in spelled}, variant
-        assert md.spell_and_score(variant, morphemes, None, params, alphabet, 5)[0] == spelled
+        assert md.spell_and_score(variant, morphemes, no_gold, params, alphabet, 5)[0] == spelled
 
         lps = md.spell_and_score(variant, morphemes, forms, params, alphabet)[1]
         per_word = np.array([WordPass(variant, w, params, alphabet).logprob for w in words])

@@ -43,12 +43,9 @@ def test_morpheme_vocab_sorted_unique():
     assert v.identifiers == ("V;PST", "run", "walk")
     assert len(v) == 3
     assert v.index("run") == 1
-    assert v.identifier(1) == "run"
     assert "walk" in v and "jog" not in v
     with pytest.raises(VocabularyError):
         v.index("jog")
-    with pytest.raises(VocabularyError):
-        v.identifier(3)
 
 
 def test_encode_entry_validates():
