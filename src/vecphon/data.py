@@ -59,11 +59,11 @@ class SplitSpec:
 # parsing
 
 def read_lines(path) -> list[str]:
-    """A UTF-8 text file's lines; a missing, unreadable (a directory, say)
-    or undecodable file is a DataError."""
+    """A UTF-8 text file's lines, less one leading byte-order mark; a
+    missing, unreadable (a directory, say) or undecodable file is a DataError."""
     try:
-        with open(path, "rb") as f:
-            raw = f.read()
+        with open(path, "rb") as f:  # cut here, not by utf-8-sig, so error offsets index raw
+            raw = f.read().removeprefix(b"\xef\xbb\xbf")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
     except OSError as e:

@@ -13,10 +13,12 @@ off, eps = 0): halve the learning rate after `patience` consecutive
 epochs without improvement, stop once it falls below the floor.
 
 Each word's gradient comes from the model's hand-derived backward pass,
-into one flat gradient buffer laid out like the parameters. A batch's
-first word writes the dense blocks and the rest add to them; embedding
-rows are added, and cleared after the step. A batch is the mean of its
-words' gradients, clipped and applied by Adam as whole-buffer operations.
+into one flat gradient buffer laid out like the parameters
+(``ModelParams.flat``). A batch's first word writes the dense blocks and
+the rest add to them; embedding rows are added, and cleared after the
+step. A batch is the mean of its words' gradients. Global-norm clipping
+and the Adam update are a handful of in-place numpy operations on the
+whole flat buffer.
 """
 
 from __future__ import annotations
@@ -25,15 +27,79 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Adam, clip_global_norm
 from .data import write_atomic
-from .errors import ConfigError, NumericError, TrainingError
+from .errors import ConfigError, NumericError, ShapeError, TrainingError
 from .model import ModelParams, Variant, WordPass, init_params, spell_and_score
 from .seeds import derive_rng
 from .vocab import Alphabet, LexiconEntry, MorphemeVocab
 
 GRAD_NORM_CAP = 5.0
 IMPROVE_TOL = 1e-6
+
+# elements per slice of an Adam update: the slice's six operands stay in
+# cache while a dozen elementwise passes run over them
+ADAM_BLOCK = 1 << 15
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+class Adam:
+    """Adam with bias correction, updating the parameter buffer in place
+    from the gradient buffer.
+
+    The learning rate is an attribute so a scheduler can change it between
+    steps. ``step`` leaves the gradient buffer as it found it.
+    """
+
+    def __init__(self, params: np.ndarray, grad: np.ndarray, lr: float = 1e-3):
+        if params.shape != grad.shape or params.ndim != 1:
+            raise ShapeError(f"gradient buffer {grad.shape} does not match "
+                             f"flat parameter buffer {params.shape}")
+        self.params = params
+        self.grad = grad
+        self.lr = lr
+        self.step_count = 0
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty((2, min(ADAM_BLOCK, params.size)))
+
+    def step(self) -> None:
+        """One update in Kingma & Ba's form (arXiv:1412.6980, sec. 2):
+        p -= (lr * sqrt(c2) / c1) * m / (sqrt(v) + eps * sqrt(c2))."""
+        self.step_count += 1
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        c1 = 1.0 - b1 ** self.step_count
+        c2 = 1.0 - b2 ** self.step_count
+        rate, eps = self.lr * np.sqrt(c2) / c1, ADAM_EPS * np.sqrt(c2)
+        n = self.params.size
+        for lo in range(0, n, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, n)
+            p, g, m, v = (a[lo:hi] for a in (self.params, self.grad, self.m, self.v))
+            s, r = self._scratch[:, :hi - lo]
+            m *= b1
+            np.multiply(g, 1.0 - b1, out=s)
+            m += s
+            v *= b2
+            np.multiply(g, g, out=s)
+            s *= 1.0 - b2
+            v += s
+            np.sqrt(v, out=s)
+            s += eps
+            np.multiply(m, rate, out=r)
+            r /= s
+            p -= r
+
+
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the flat gradient buffer in place so its L2 norm is at most
+    ``max_norm``; returns the norm before clipping. A finite gradient
+    whose squared norm overflows is measured at unit scale."""
+    norm, top = float(np.sqrt(np.dot(grad, grad))), 1.0
+    if norm == np.inf and np.isfinite(grad).all():  # only the squares overflowed
+        top = float(np.abs(grad).max())  # so measure in units of the largest entry
+        norm = float(np.linalg.norm(grad / top))
+    if norm * top > max_norm and norm > 0.0:
+        grad *= max_norm / top / norm
+    return norm * top
 
 
 @dataclass

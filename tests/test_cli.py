@@ -1,6 +1,8 @@
 """Command-line interface: artifacts, exit statuses, config layering."""
 
+import ast
 import concurrent.futures.process
+import importlib
 import json
 import multiprocessing
 import os
@@ -17,11 +19,11 @@ import numpy as np
 import pytest
 
 import synthlang
-from vecphon.checkpoint import load_checkpoint
+from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon import cli
 from vecphon.cli import build_parser, main
-from vecphon.model import spell_and_score
-from vecphon.vocab import encode_entry
+from vecphon.model import Variant, init_params, spell_and_score
+from vecphon.vocab import Alphabet, MorphemeVocab, encode_entry
 
 
 def option_actions(sub_parser):
@@ -268,6 +270,45 @@ def test_export_embeddings_and_similarity(tmp_path, capsys):
     rc = main(["export-embeddings", "--checkpoint", ckpt,
                "--similarity", "suf0,nosuch", "--out-dir", str(em)])
     assert rc == 1
+
+
+def export(tmp_path, params, vocab, projection):
+    """Exit status and, on success, rows of ``export-embeddings`` on a
+    checkpoint of ``params``."""
+    tmp_path.mkdir(exist_ok=True)
+    ckpt = tmp_path / "m.vpck"
+    save_checkpoint(ckpt, params, Variant.POS_INDEPENDENT, Alphabet("ab"), vocab)
+    rc = main(["export-embeddings", "--checkpoint", str(ckpt), "--projection", projection,
+               "--out-dir", str(tmp_path)])
+    if rc:
+        return rc, None
+    text = (tmp_path / "embeddings.tsv").read_text(encoding="utf-8")
+    return rc, [line.split("\t") for line in text.splitlines()]
+
+
+def test_export_none_gives_raw_rows(tmp_path):
+    alphabet = Alphabet("ab")
+    vocab = MorphemeVocab(["m0", "m1", "m2"])
+    params = init_params(np.random.default_rng(0), 3, alphabet, 6)
+    rc, rows = export(tmp_path, params, vocab, "none")
+    assert rc == 0
+    assert [ident for ident, *_ in rows] == ["m0", "m1", "m2"]
+    for i, (_, *vec) in enumerate(rows):  # the checkpoint holds f32 values
+        assert np.array_equal(np.array(vec, dtype=np.float32),
+                              params.morph_emb[i].astype(np.float32))
+    assert len(rows) == 3 and all(len(row) == 7 for row in rows)
+
+
+def test_export_pca2_shape_and_errors(tmp_path):
+    alphabet = Alphabet("ab")
+    vocab = MorphemeVocab(["m0", "m1", "m2"])
+    params = init_params(np.random.default_rng(1), 3, alphabet, 6)
+    rc, rows = export(tmp_path / "pca2", params, vocab, "pca2")
+    assert rc == 0
+    assert all(len(row) == 1 + 2 for row in rows)
+    assert export(tmp_path / "tsne", params, vocab, "tsne")[0] == 2
+    solo = init_params(np.random.default_rng(2), 1, alphabet, 6)
+    assert export(tmp_path / "solo", solo, MorphemeVocab(["only"]), "pca2")[0] == 2
 
 
 def test_resample_emits_curve_columns(tmp_path):
@@ -861,15 +902,17 @@ def test_config_echo_replays_the_run(tmp_path):
             ("train", out, ["checkpoint.vpck", "trainlog.tsv", "split/train.idx",
                             "split/dev.idx", "split/test.idx", "split/seed.txt"]),
             ("evaluate", ev, ["report.json"])):
-        again = first + "-replay"
-        assert main([command, "--config", os.path.join(first, "config.txt"),
-                     "--out-dir", again]) == 0, command
-        for name in names:
-            a, b = (Path(d, name).read_bytes() for d in (first, again))
-            assert a == b, (command, name)
-        echoes = [[line for line in Path(d, "config.txt").read_text().splitlines()
-                   if not line.startswith("out-dir=")] for d in (first, again)]
-        assert echoes[0] == echoes[1], command
+        config = Path(first, "config.txt")
+        bom = Path(first + "-bom.txt")  # the echo as a Windows editor saves it
+        bom.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        for again, path in ((first + "-replay", config), (first + "-bom", bom)):
+            assert main([command, "--config", str(path), "--out-dir", again]) == 0, command
+            for name in names:
+                a, b = (Path(d, name).read_bytes() for d in (first, again))
+                assert a == b, (command, name)
+            echoes = [[line for line in Path(d, "config.txt").read_text().splitlines()
+                       if not line.startswith("out-dir=")] for d in (first, again)]
+            assert echoes[0] == echoes[1], command
 
 
 def test_checkpoint_from_config_file_matches_the_flag(tmp_path, capsys):
@@ -886,3 +929,27 @@ def test_checkpoint_from_config_file_matches_the_flag(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "file")]) == 0
     assert capsys.readouterr().out == by_flag
     assert f"checkpoint={ckpt}" in (tmp_path / "file" / "config.txt").read_text()
+
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark drives every workload through cli.main and imports a few
+    # more names to check its outputs; a refactor that moves one of them
+    # passes the rest of this suite but fails every benchmark iteration.
+    # bench/tracer.py names its spans as strings: a missing span is reported
+    # there, not failed on, so it is not checked here
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    if not bench.is_dir():
+        pytest.skip("no bench/ directory beside tests/")
+    names = []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names += [(a.name, None) for a in node.names if a.name.startswith("vecphon")]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vecphon"):
+                names += [(node.module, a.name) for a in node.names]
+    assert names, "bench/ imports nothing from vecphon"
+    for module, name in names:
+        imported = importlib.import_module(module)
+        assert name is None or hasattr(imported, name), f"{module}.{name}"
+    assert callable(importlib.import_module("vecphon.cli").main)

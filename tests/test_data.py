@@ -33,6 +33,9 @@ def test_parse_unimorph_crlf_and_blank_lines(tmp_path):
     p = write(tmp_path / "u.tsv", "run\tran\tV;PST\r\n\r\nsee\tsaw\tV;PST\r\n")
     rows = parse_unimorph_tsv(p)
     assert [r.morphemes[0] for r in rows] == ["run", "see"]
+    # a leading byte-order mark, as Windows editors write, is not part of the lemma
+    p = write(tmp_path / "bom.tsv", "\ufeffkedi\tkediler\tN;PL\r\nkedi\tkedi\tN;SG\r\n")
+    assert [r.morphemes[0] for r in parse_unimorph_tsv(p)] == ["kedi", "kedi"]
 
 
 def test_parse_unimorph_dedup_keeps_first(tmp_path):
@@ -55,6 +58,9 @@ def test_parse_unimorph_errors(tmp_path):
     (tmp_path / "d.tsv").write_bytes(b"a\tb\tc\nx\t\xff\tz\n")
     with pytest.raises(DataError, match="d.tsv:2: not valid UTF-8"):
         parse_unimorph_tsv(tmp_path / "d.tsv")
+    (tmp_path / "e.tsv").write_bytes(b"\xef\xbb\xbfa\tb\tc\nx\t\xff\tz\n")
+    with pytest.raises(DataError, match="e.tsv:2: not valid UTF-8"):
+        parse_unimorph_tsv(tmp_path / "e.tsv")
 
 
 def test_parse_unimorph_bundle_is_one_morpheme(tmp_path):
@@ -72,6 +78,8 @@ def test_parse_weighted(tmp_path):
     rows = parse_weighted_tsv(p)
     assert rows[0] == WeightedForm("ran", ("run", "PST"), 17)
     assert rows[1] == WeightedForm("run", ("run",), 40)
+    p = write(tmp_path / "bom.tsv", "\ufeffkediler\tkedi\tPL\t3\n")
+    assert parse_weighted_tsv(p) == [WeightedForm("kediler", ("kedi", "PL"), 3)]
 
 
 def test_parse_weighted_errors(tmp_path):
@@ -84,6 +92,9 @@ def test_parse_weighted_errors(tmp_path):
     (tmp_path / "d.tsv").write_bytes(b"\xffx\ty\tz\t1\n")
     with pytest.raises(DataError, match="d.tsv:1: not valid UTF-8"):
         parse_weighted_tsv(tmp_path / "d.tsv")
+    (tmp_path / "e.tsv").write_bytes(b"\xef\xbb\xbfx\ty\tz\t1\n\xff\n")
+    with pytest.raises(DataError, match="e.tsv:2: not valid UTF-8"):
+        parse_weighted_tsv(tmp_path / "e.tsv")
 
 
 # ---------------------------------------------------------------------------

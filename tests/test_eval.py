@@ -1,5 +1,6 @@
 """Metric oracles: quadratic-DP edit distance reference, closed-form
-surprisal, permutation-test enumeration, aggregation arithmetic."""
+surprisal, permutation-test enumeration, aggregation arithmetic, PCA
+projection and cosine."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from vecphon.errors import ConfigError, DataError
-from vecphon.evaluation import (EvalReport, evaluate, levenshtein, mean_sd,
-                                paired_permutation_test, predict, resample_eval)
+from vecphon.evaluation import (EvalReport, cosine, evaluate, levenshtein, mean_sd,
+                                paired_permutation_test, pca2, predict, resample_eval)
 from vecphon.model import Variant, WordPass, init_params, spell_and_score
 from vecphon.seeds import derive_seed
 from vecphon.vocab import Alphabet, LexiconEntry, MorphemeVocab
@@ -259,3 +260,34 @@ def test_permutation_validation():
         paired_permutation_test([1.0, 2.0], [1.0])
     with pytest.raises(ConfigError):
         paired_permutation_test(np.ones(5), np.zeros(5), n_permutations=10)
+
+
+def test_pca2_captures_dominant_direction():
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(40, 1)) @ np.array([[3.0, 0.0, 0.0, 0.0]])
+    x = base + 0.01 * rng.normal(size=(40, 4))
+    scores = pca2(x)
+    # first component recovers the planted axis up to tiny noise
+    assert np.corrcoef(scores[:, 0], base[:, 0])[0, 1] > 0.999
+
+
+def test_pca2_invariant_to_rotation_up_to_sign():
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(25, 6))
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    s1 = pca2(x)
+    s2 = pca2(x @ q)
+    for axis in range(2):
+        same = np.allclose(s1[:, axis], s2[:, axis], atol=1e-8)
+        flipped = np.allclose(s1[:, axis], -s2[:, axis], atol=1e-8)
+        assert same or flipped
+
+
+def test_cosine():
+    v = np.array([1.0, 2.0, -3.0])
+    assert cosine(v, v) == pytest.approx(1.0)
+    assert cosine(v, -v) == pytest.approx(-1.0)
+    assert cosine(v, np.zeros(3)) == 0.0
+    a = np.array([1.0, 0.0])
+    b = np.array([0.0, 1.0])
+    assert cosine(a, b) == pytest.approx(0.0)
