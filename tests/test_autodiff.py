@@ -1,10 +1,10 @@
-"""Gradient and optimizer checks: the model's normalizers, backward
-pass, dropout and parameter layout, and ``Adam`` and clipping.
+"""The flat gradient buffer: how ``WordPass``'s backward pass writes into
+it, and how ``training``'s ``Adam`` and ``clip_global_norm`` act on it
+whole.
 
-The model's hand-derived backward pass is compared against central
-finite differences of its own forward pass; optimizer updates on the
-flat parameter buffer are compared against an independently coded
-scalar reference.
+Optimizer updates are compared against an independently coded scalar
+reference; the backward pass's accumulation, repeatability and layout
+checks use the model's own forward pass.
 """
 
 from __future__ import annotations
@@ -12,25 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vecphon import model as md
-from vecphon.autodiff import ADAM_EPS, Adam, clip_global_norm
-from vecphon.errors import ConfigError, NumericError, ShapeError
+from vecphon.errors import ShapeError
 from vecphon.model import Variant, WordPass, init_params
+from vecphon.training import ADAM_EPS, Adam, clip_global_norm
 from vecphon.vocab import Alphabet, LexiconEntry
 
-STEP = 1e-5
-RTOL = 1e-4
-ATOL = 1e-7
 ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
-
-
-def assert_close(a, b, rtol=RTOL, atol=ATOL):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    err = np.abs(a - b)
-    tol = atol + rtol * np.maximum(np.abs(a), np.abs(b))
-    worst = np.max(err - tol)
-    assert np.all(err <= tol), f"gradient mismatch, worst excess {worst:.3e}"
 
 
 def word_setup(seed, d=3, n_chars=4, n_morphs=4):
@@ -57,269 +44,8 @@ def analytic_grads(variant, entry, params, alphabet, kwargs):
     return grads
 
 
-def fd_grads(variant, entry, params, alphabet, make_kwargs, name):
-    """Central differences of -log p(word) with respect to one field."""
-    arr = getattr(params, name)
-    g = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        keep = arr[idx]
-        arr[idx] = keep + STEP
-        hi = -WordPass(variant, entry, params, alphabet, **make_kwargs()).logprob
-        arr[idx] = keep - STEP
-        lo = -WordPass(variant, entry, params, alphabet, **make_kwargs()).logprob
-        arr[idx] = keep
-        g[idx] = (hi - lo) / (2.0 * STEP)
-    return g
-
-
-def check_word_grads(variant, entry, params, alphabet, make_kwargs, names=None):
-    grads = analytic_grads(variant, entry, params, alphabet, make_kwargs())
-    for name in names or params.FIELD_NAMES:
-        assert_close(getattr(grads, name),
-                     fd_grads(variant, entry, params, alphabet, make_kwargs, name))
-    return grads
-
-
 # ---------------------------------------------------------------------------
-# building blocks against hand arithmetic
-
-def test_matmul_values_by_hand():
-    # the cell's recurrent product, the readout and the attention scores on
-    # small integer parameters, against products worked out by hand
-    alphabet, params = word_setup(0, d=2, n_chars=2, n_morphs=3)
-    params.flat[:] = 0.0
-
-    params.lstm_wh[:] = np.arange(16.0).reshape(8, 2)  # W_h @ [1, -1] = -1 per row
-    zx = 0.1 * np.arange(8.0)
-    h, c, gates = md.lstm_step(params, zx, np.array([1.0, -1.0]), np.array([1.0, 2.0]))
-    z = zx - 1.0
-    sig = 1.0 / (1.0 + np.exp(-z[:6]))
-    assert np.array_equal(gates, np.concatenate([sig, np.tanh(z[6:])]))
-    i, f, o, g = gates[:2], gates[2:4], gates[4:6], gates[6:]
-    assert np.array_equal(c, f * [1.0, 2.0] + i * g)
-    assert np.array_equal(h, o * np.tanh(c))
-
-    params.readout_w[:] = [[1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [1, 0, 0, -1]]
-    params.readout_v[:] = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
-    w_h, w_u = params.readout_w[:, :2], params.readout_w[:, 2:]
-
-    def factored(variant, h, m_rows):  # emit with the tables WordPass builds
-        return md.emit(params, variant, h, h @ w_h.T, m_rows @ params.attn_t.T, m_rows @ w_u.T)
-
-    # the readout of [h; u] = [1, 1; 2, -1] and [0, 0; 0, 0], one morpheme row per state
-    out = factored(md.Variant.POS_INDEPENDENT, np.array([[1.0, 1.0], [0.0, 0.0]]),
-                   np.array([[[2.0, -1.0]], [[0.0, 0.0]]]))
-    a, logp = out.a, out.logdist
-    assert np.array_equal(a[0], np.tanh([3.0, 1.0, 0.0, 2.0]))
-    assert np.array_equal(a[1], np.zeros(4))
-    assert np.allclose(logp[0], md.log_softmax(np.tanh([3.0, 1.0, 0.0])), rtol=0, atol=1e-15)
-    assert np.allclose(logp[1], np.log(1.0 / 3.0), rtol=0, atol=1e-15)
-
-    params.attn_t[:] = [[1, 0], [0, 2]]
-    m_rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    rows = factored(md.Variant.POS_DEPENDENT, np.array([[1.0, 2.0], [1.0, 0.0]]), m_rows).log_alpha
-    # h T = [1, 4] and [1, 0]; scores against the rows are [1, 4, 5] and [1, 0, 1]
-    assert np.array_equal(rows[0], md.log_softmax(np.array([1.0, 4.0, 5.0])))
-    assert np.array_equal(rows[1], md.log_softmax(np.array([1.0, 0.0, 1.0])))
-    # the pos-indep readout reads u = the mean of the morpheme rows
-    uf = factored(md.Variant.POS_INDEPENDENT, np.zeros(2), np.array([[1.0, 2.0], [3.0, 4.0]])).a
-    assert np.array_equal(uf, np.tanh(params.readout_w @ [0.0, 0.0, 2.0, 3.0]))
-
-
-# ---------------------------------------------------------------------------
-# normalizers
-
-def test_log_softmax_normalizes_and_is_shift_invariant():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=9)
-    ls = md.log_softmax(x)
-    shifted = md.log_softmax(x + 123.456)
-    assert abs(np.exp(ls).sum() - 1.0) < 1e-12
-    assert np.max(np.abs(ls - shifted)) < 1e-10
-    rows = rng.normal(size=(3, 9))  # a stack of rows normalizes row by row
-    assert np.allclose(md.log_softmax(rows)[1], md.log_softmax(rows[1]), rtol=0, atol=1e-15)
-
-
-def test_log_softmax_survives_huge_inputs():
-    x = np.array([1e4, -1e4, 0.0])
-    out = md.log_softmax(x)
-    assert np.all(np.isfinite(out))
-    assert abs(out[0]) < 1e-12  # the dominant entry carries all the mass
-
-
-def test_log_softmax_rejects_non_finite():
-    with pytest.raises(NumericError):
-        md.log_softmax(np.array([0.0, np.inf]))
-
-
-def test_logsumexp_rows_matches_naive():
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(4, 6))
-    out = md.logsumexp(m, axis=0)
-    assert_close(out, np.log(np.exp(m).sum(axis=0)), rtol=1e-12, atol=1e-12)
-
-
-def test_log_softmax_grads():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=7)
-    w = rng.normal(size=7)
-
-    def f(v):
-        return float(md.log_softmax(v) @ w)
-
-    fd = np.zeros_like(x)
-    for i in range(x.size):
-        hi, lo = x.copy(), x.copy()
-        hi[i] += STEP
-        lo[i] -= STEP
-        fd[i] = (f(hi) - f(lo)) / (2.0 * STEP)
-    assert_close(md.log_softmax_backward(md.log_softmax(x), w), fd)
-
-
-def test_logsumexp_rows_grads():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(3, 5))
-    w = rng.normal(size=5)
-
-    def f(v):
-        return float(md.logsumexp(v, axis=0) @ w)
-
-    fd = np.zeros_like(m)
-    for idx in np.ndindex(m.shape):
-        hi, lo = m.copy(), m.copy()
-        hi[idx] += STEP
-        lo[idx] -= STEP
-        fd[idx] = (f(hi) - f(lo)) / (2.0 * STEP)
-    assert_close(md.logsumexp_backward(m, md.logsumexp(m, axis=0), w, axis=0), fd)
-
-
-# ---------------------------------------------------------------------------
-# the word's backward pass against finite differences
-
-def test_lookup_and_pick_grads():
-    # embedding rows are gathered and target log-probabilities picked:
-    # the gradient lands, correct, on the rows used and nowhere else
-    alphabet, params = word_setup(9, n_chars=5, n_morphs=5)
-    entry = LexiconEntry(morphemes=(1, 3), form=(0, 2))
-    for variant in ALL_VARIANTS:
-        grads = check_word_grads(variant, entry, params, alphabet,
-                                 lambda: pass_kwargs(params, 3),
-                                 names=("morph_emb", "char_emb"))
-        assert np.all(grads.morph_emb[[0, 2, 4]] == 0.0)
-        unused = [r for r in range(alphabet.table_size) if r not in (alphabet.bos_id, 0, 2)]
-        assert np.all(grads.char_emb[unused] == 0.0)
-
-
-def test_shared_input_grads_accumulate():
-    # a symbol read twice and a morpheme listed twice add both contributions
-    alphabet, params = word_setup(13)
-    entry = LexiconEntry(morphemes=(2, 2, 0), form=(1, 1, 3, 1))
-    for variant in ALL_VARIANTS:
-        check_word_grads(variant, entry, params, alphabet,
-                         lambda: pass_kwargs(params, 4),
-                         names=("morph_emb", "char_emb"))
-
-
-def test_randomized_composite_expressions():
-    # random sizes, words and parameters; every field of every variant
-    rng = np.random.default_rng(14)
-    for trial in range(6):
-        d = int(rng.integers(2, 4))
-        n_chars = int(rng.integers(2, 4))
-        alphabet, params = word_setup(100 + trial, d=d, n_chars=n_chars, n_morphs=3)
-        k = int(rng.integers(1, 4))
-        entry = LexiconEntry(morphemes=tuple(rng.integers(0, 3, size=k)),
-                             form=tuple(rng.integers(0, n_chars, size=int(rng.integers(0, 4)))))
-        variant = ALL_VARIANTS[trial % 3]
-        dropout = 0.3 if trial >= 3 else 0.0
-        check_word_grads(variant, entry, params, alphabet,
-                         lambda: pass_kwargs(params, 200 + trial, dropout))
-
-
-def test_matmul_grads_all_rank_combinations():
-    # each weight gradient is one matrix product over the word's rows;
-    # check it where those products degenerate (one step, one morpheme)
-    # as well as over several of each
-    alphabet, params = word_setup(6)
-    for morphs, form in (((1,), ()), ((0, 2), ()), ((3,), (1, 2, 0)), ((0, 1, 2), (2, 2, 1))):
-        entry = LexiconEntry(morphs, form)
-        for variant in ALL_VARIANTS:
-            grads = check_word_grads(variant, entry, params, alphabet,
-                                     lambda: pass_kwargs(params, 6))
-            if not form:  # one step from the zero state: W_h multiplies only zeros
-                assert np.all(grads.lstm_wh == 0.0)
-            else:
-                assert np.any(grads.lstm_wh != 0.0)
-
-
-def test_add_row_broadcast_grads():
-    # the LSTM bias is added to every step's input projection, and the
-    # pos-indep underlying form to every step's readout input: their
-    # gradients sum over the steps
-    alphabet, params = word_setup(3)
-    entry = LexiconEntry((0, 1), (2, 0, 3, 1))
-    for variant in ALL_VARIANTS:
-        check_word_grads(variant, entry, params, alphabet,
-                         lambda: pass_kwargs(params, 3), names=("lstm_b", "morph_emb"))
-
-
-def test_unary_grads():
-    # gate sigmoids, the tanh of the cell and of the readout layer, and the
-    # exp inside the softmaxes, driven well away from their linear range
-    alphabet, params = word_setup(12)
-    rng = np.random.default_rng(12)
-    for name in ("lstm_wx", "lstm_wh", "readout_w", "readout_v", "attn_t"):
-        getattr(params, name)[...] *= 10.0
-    params.lstm_b[:] = rng.normal(0.0, 1.0, size=params.lstm_b.shape)
-    entry = LexiconEntry((0, 3), (1, 2, 3))
-    for variant in ALL_VARIANTS:
-        word = WordPass(variant, entry, params, alphabet)
-        d = params.d
-        assert np.any(np.abs(word.gates[:, :3 * d] - 0.5) > 0.4)  # sigmoid' < 0.1
-        assert np.any(np.abs(word.out.a) > 0.7)                    # tanh' < 0.51
-        check_word_grads(variant, entry, params, alphabet, lambda: pass_kwargs(params, 12))
-
-
-def test_concat_grads():
-    # the readout reads [h; u] (joint: [h; m_j]), and its input gradient
-    # splits at column d. In pos-indep, morphemes reach the output only
-    # through u and the LSTM only through h, so silencing either half of
-    # the readout weights zeroes exactly that side's gradients
-    alphabet, params = word_setup(7, d=4)
-    entry = LexiconEntry((0, 2), (1, 3, 0))
-    d = params.d
-    for variant in ALL_VARIANTS:
-        check_word_grads(variant, entry, params, alphabet, lambda: pass_kwargs(params, 7),
-                         names=("readout_w", "morph_emb", "lstm_wx"))
-
-    u_off = init_params(np.random.default_rng(7), 4, alphabet, d)
-    u_off.readout_w[:, d:] = 0.0
-    grads = analytic_grads(Variant.POS_INDEPENDENT, entry, u_off, alphabet, {})
-    assert np.all(grads.morph_emb == 0.0)
-    assert np.all(grads.readout_w[:, d:] != 0.0) and np.any(grads.lstm_wx != 0.0)
-
-    h_off = init_params(np.random.default_rng(7), 4, alphabet, d)
-    h_off.readout_w[:, :d] = 0.0
-    grads = analytic_grads(Variant.POS_INDEPENDENT, entry, h_off, alphabet, {})
-    for name in ("lstm_wx", "lstm_wh", "lstm_b", "char_emb"):
-        assert np.all(getattr(grads, name) == 0.0), name
-    assert np.any(grads.morph_emb != 0.0)
-
-
-def test_stack_rows_grads():
-    # the step loop's states are stacked into one (T, d) block (T*k rows
-    # for the joint variant) for the emissions; every row's gradient must
-    # flow back to its own step. Each step reads a different symbol, so
-    # each char_emb row's gradient is one step's
-    alphabet, params = word_setup(8, d=2, n_chars=6, n_morphs=3)
-    entry = LexiconEntry((0, 1, 2), (5, 4, 3, 2, 1, 0))
-    for variant in ALL_VARIANTS:
-        grads = check_word_grads(variant, entry, params, alphabet,
-                                 lambda: pass_kwargs(params, 8), names=("char_emb", "lstm_wh"))
-        assert np.all(grads.char_emb[[alphabet.bos_id, 0, 1, 2, 3, 4, 5]] != 0.0)
-
+# the backward pass and the buffer layout
 
 def test_backward_twice_equals_backward_of_sum():
     # gradients of several words accumulate in one buffer as a sum
@@ -414,48 +140,6 @@ def test_fields_tile_the_flat_buffer():
         assert offset == p.flat.size
     assert np.array_equal(grads.flat, np.concatenate(
         [getattr(grads, name).ravel() for name in grads.FIELD_NAMES]))
-
-
-# ---------------------------------------------------------------------------
-# dropout
-
-def test_dropout_identity_when_off():
-    alphabet, params = word_setup(15)
-    entry = LexiconEntry((0, 1), (2, 1))
-    base = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet).logprob
-    rng = np.random.default_rng(15)
-    got = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet,
-                   dropout=0.0, drop_rng=rng).logprob
-    assert got == base
-    assert rng.random() == np.random.default_rng(15).random()  # nothing drawn
-
-
-def test_dropout_preserves_mean_and_masks_grads():
-    rng = np.random.default_rng(16)
-    mask = md.dropout_masks(rng, 0.25, (20000,))
-    kept = mask != 0.0
-    assert abs(kept.mean() - 0.75) < 0.01
-    assert np.allclose(mask[kept], 1.0 / 0.75)
-    # a dropped input component passes no gradient to its embedding
-    alphabet, params = word_setup(16, d=6, n_chars=5)
-    entry = LexiconEntry((0, 1), (0, 1, 2, 3))  # every input symbol read once
-    word = WordPass(Variant.POS_DEPENDENT, entry, params, alphabet,
-                    dropout=0.5, drop_rng=np.random.default_rng(6))
-    grads = params.like()
-    word.nll_backward(grads)
-    step_masks = word.masks[len(entry.morphemes):]
-    assert np.any(step_masks == 0.0)
-    for sym, m in zip(word.inputs, step_masks):
-        assert np.all(grads.char_emb[sym][m == 0.0] == 0.0)
-        assert np.all(grads.char_emb[sym][m != 0.0] != 0.0)
-
-
-def test_dropout_rejects_bad_rate():
-    rng = np.random.default_rng(17)
-    with pytest.raises(ConfigError):
-        md.dropout_masks(rng, 1.0, (1,))
-    with pytest.raises(ConfigError):
-        md.dropout_masks(rng, -0.1, (1,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Model-component oracles: hand-worked cell updates, normalization,
-attention behavior, and decoding determinism; dropout and the flat
-parameter layout.
+attention behavior, and decoding determinism; the normalizers and
+dropout.
 
 The model's hand-derived backward pass is compared against central
 finite differences of its own forward pass.
@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from vecphon import model as md
-from vecphon.errors import ConfigError, DataError, NumericError, ShapeError
+from vecphon.errors import ConfigError, DataError, NumericError
 from vecphon.model import Variant, WordPass, emit, init_params, lstm_step
-from vecphon.training import Adam, mean_dev_loss
+from vecphon.training import mean_dev_loss
 from vecphon.vocab import Alphabet, LexiconEntry
 
 ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
@@ -825,101 +825,6 @@ def test_each_step_grads_reach_its_own_input():
         grads = check_word_grads(variant, entry, params, alphabet,
                                  lambda: pass_kwargs(params, 8), names=("char_emb", "lstm_wh"))
         assert np.all(grads.char_emb[[alphabet.bos_id, 0, 1, 2, 3, 4, 5]] != 0.0)
-
-
-def test_backward_twice_equals_backward_of_sum():
-    # gradients of several words accumulate in one buffer as a sum
-    alphabet, params = word_setup(18)
-    words = [LexiconEntry((0, 1), (2, 0)), LexiconEntry((3,), (1, 1, 2))]
-    for variant in ALL_VARIANTS:
-        both = params.like()
-        separate = []
-        for w in words:
-            WordPass(variant, w, params, alphabet).nll_backward(both)
-            separate.append(analytic_grads(variant, w, params, alphabet, {}).flat)
-        assert np.allclose(both.flat, separate[0] + separate[1], rtol=0, atol=1e-15)
-
-
-def test_word_pass_is_deterministic():
-    # the same word, parameters, noise and dropout draws give a bitwise
-    # identical log-probability and gradient
-    alphabet, params = word_setup(19, d=4)
-    entry = LexiconEntry((1, 0, 3), (2, 0, 1, 1))
-    for variant in ALL_VARIANTS:
-        runs = []
-        for _ in range(2):
-            kwargs = pass_kwargs(params, 19, dropout=0.3)
-            word = WordPass(variant, entry, params, alphabet, **kwargs)
-            grads = params.like()
-            word.nll_backward(grads)
-            runs.append((word.logprob, grads.flat))
-        assert runs[0][0] == runs[1][0]
-        assert np.array_equal(runs[0][1], runs[1][1])
-
-
-def test_backward_repeats_and_leaves_the_forward_pass():
-    # the backward pass keeps no gradient state of its own and changes
-    # neither the parameters nor the recorded forward pass: run again, it
-    # gives exactly the same gradient, and into the same buffer it adds
-    # that gradient once more
-    alphabet, params = word_setup(20)
-    before = params.flat.copy()
-    entry = LexiconEntry((2, 1), (0, 3, 3))
-    for variant in ALL_VARIANTS:
-        word = WordPass(variant, entry, params, alphabet, **pass_kwargs(params, 20))
-        logprob, h = word.logprob, word.h.copy()
-        grads = params.like()
-        word.nll_backward(grads)
-        again = params.like()
-        word.nll_backward(again)
-        assert np.array_equal(again.flat, grads.flat)
-        word.nll_backward(grads)
-        assert np.allclose(grads.flat, 2.0 * again.flat, rtol=0, atol=1e-15)
-        assert word.logprob == logprob and np.array_equal(word.h, h)
-        assert np.array_equal(params.flat, before)
-
-
-def test_backward_rejects_a_buffer_of_another_layout():
-    # the backward pass writes only into a gradient buffer laid out like
-    # its parameters; another layout would take the updates silently
-    alphabet, params = word_setup(21)
-    word = WordPass(Variant.JOINT, LexiconEntry((0,), (1,)), params, alphabet)
-    for other in (word_setup(21, n_morphs=5)[1], word_setup(21, d=4)[1]):
-        grads = other.like()
-        with pytest.raises(ShapeError):
-            word.nll_backward(grads)
-        assert np.all(grads.flat == 0.0)
-
-
-def test_shape_errors():
-    alphabet, params = word_setup(22)
-    with pytest.raises(ShapeError):
-        Adam(np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(IndexError):
-        WordPass(Variant.POS_INDEPENDENT, LexiconEntry((4,), (0,)), params, alphabet)
-    with pytest.raises(IndexError):
-        WordPass(Variant.POS_INDEPENDENT, LexiconEntry((0,), (alphabet.table_size,)),
-                 params, alphabet)
-
-
-def test_fields_tile_the_flat_buffer():
-    # each field is a slice of the flat buffer: the fields tile it in
-    # FIELD_NAMES order with no gap or overlap, so a gradient written
-    # through a field of `like()` lands in that slice of the gradient buffer
-    alphabet, params = word_setup(23)
-    grads = params.like()
-    WordPass(Variant.POS_DEPENDENT, LexiconEntry((0, 1), (2, 3)), params,
-             alphabet).nll_backward(grads)
-    for p in (params, grads):
-        offset = 0
-        for name in p.FIELD_NAMES:
-            arr = getattr(p, name)
-            assert arr.base is p.flat or arr.base is p.flat.base, name
-            assert arr.ctypes.data == p.flat.ctypes.data + 8 * offset, name
-            offset += arr.size
-        assert offset == p.flat.size
-    assert np.array_equal(grads.flat, np.concatenate(
-        [getattr(grads, name).ravel() for name in grads.FIELD_NAMES]))
 
 
 # ---------------------------------------------------------------------------
