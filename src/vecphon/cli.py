@@ -30,7 +30,7 @@ from .errors import CompatibilityError, ConfigError, DataError, TrainingError, V
 from .evaluation import EvalReport, cosine, evaluate, pca2, predict, resample_eval
 from .model import Variant
 from .seeds import derive_rng, derive_seed
-from .training import TrainConfig, train
+from .training import TrainConfig, follow_parent, train, usable_cores
 from .vocab import encode_entry
 
 
@@ -297,20 +297,8 @@ def worker_count(cores: int, cells: int, environ) -> int:
     return 1
 
 
-def _run_cell(*args):  # in a forked worker, whose pool initializer set _run_cell.cell
+def _run_cell(*args):  # in a forked worker, which inherits fork_pool's _run_cell.cell
     return _run_cell.cell(*args)  # under main's np.errstate, which the fork inherits
-
-
-def _start_worker(cell, parent) -> None:
-    """Pool initializer: the kernel kills the worker when the process that
-    forked it ends, however it ends (PR_SET_PDEATHSIG), so none outlives it."""
-    import ctypes
-    import signal
-    prctl = ctypes.CDLL(None).prctl
-    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-    if prctl(1, signal.SIGKILL) != 0 or os.getppid() != parent:  # 1 is PR_SET_PDEATHSIG
-        os._exit(1)  # the parent may have ended before prctl
-    _run_cell.cell = cell
 
 
 @contextlib.contextmanager
@@ -321,20 +309,21 @@ def fork_pool(cell, cells: int):
     Workers inherit ``cell``, its data and the BLAS thread count, so only
     the arguments and the result are pickled; the pool forks them all
     before it starts its own threads. Leaving joins every worker."""
-    # where sched_getaffinity is missing, count one core and do not fork
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = worker_count(cores, cells, os.environ)
+    workers = worker_count(usable_cores(), cells, os.environ)
     if workers == 1:
         yield cell, map
         return
     import multiprocessing  # here, so that the other commands do not load it
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    _run_cell.cell = cell
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker, initargs=(cell, os.getpid())) as executor:
+                             initializer=follow_parent, initargs=(os.getpid(),)) as executor:
         try:
             yield _run_cell, executor.map
         except BrokenProcessPool:
             raise TrainingError("a resample worker process died") from None
+        finally:  # the workers hold their copies; drop this process's reference to the data
+            _run_cell.cell = None
 
 
 def cmd_resample(ns) -> None:

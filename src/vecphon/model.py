@@ -43,6 +43,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import mmap
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -92,19 +93,21 @@ class ModelParams:
     ``flat``; model code reads the named views. Write into a field
     (``params.lstm_b[:] = ...``) rather than rebinding it, or it stops
     being a view of the buffer. ``like`` lays the same fields over a
-    fresh zero buffer, which is how gradients are held.
+    fresh zero buffer, which is how gradients are held. A ``shared``
+    buffer is memory that forked children write into too.
     """
 
     FIELD_NAMES = ("morph_emb", "char_emb", "lstm_wx", "lstm_wh", "lstm_b",
                    "readout_w", "readout_v", "attn_t")
 
-    def __init__(self, shapes: dict[str, tuple[int, ...]]):
+    def __init__(self, shapes: dict[str, tuple[int, ...]], shared: bool = False):
         self.shapes = {name: tuple(shapes[name]) for name in self.FIELD_NAMES}
         self.d = self.shapes["attn_t"][0]
         sizes = [math.prod(self.shapes[name]) for name in self.FIELD_NAMES]
-        try:
-            self.flat = np.zeros(sum(sizes))
-        except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        try:  # shared only on request: inference ran 20% slower on one (no huge pages)
+            self.flat = (np.frombuffer(mmap.mmap(-1, max(8 * sum(sizes), 1)), count=sum(sizes))
+                         if shared else np.zeros(sum(sizes)))
+        except (MemoryError, ValueError, OverflowError, OSError):  # mmap: the last two
             raise DataError(f"cannot allocate {sum(sizes)} model parameters "
                             f"(d={self.d})") from None
         offset = 0
@@ -112,9 +115,9 @@ class ModelParams:
             setattr(self, name, self.flat[offset:offset + size].reshape(self.shapes[name]))
             offset += size
 
-    def like(self) -> "ModelParams":
+    def like(self, shared: bool = False) -> "ModelParams":
         """The same fields over a fresh zero buffer."""
-        return ModelParams(self.shapes)
+        return ModelParams(self.shapes, shared)
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.FIELD_NAMES}
@@ -128,13 +131,13 @@ class ModelParams:
 
 
 def init_params(rng: np.random.Generator, n_morphemes: int,
-                alphabet: Alphabet, d: int) -> ModelParams:
+                alphabet: Alphabet, d: int, shared: bool = False) -> ModelParams:
     """Fresh parameters: weight matrices N(0, 0.01), biases 0, embedding
     tables N(0, 1) matching the standard-normal prior on morpheme vectors.
     Arrays are drawn in FIELD_NAMES order straight into the buffer."""
     if d < 1 or n_morphemes < 1:
         raise DataError(f"bad model size: d={d}, morphemes={n_morphemes}")
-    params = ModelParams(param_shapes(d, n_morphemes, alphabet))
+    params = ModelParams(param_shapes(d, n_morphemes, alphabet), shared)
     for name, arr in params.named_arrays().items():
         if name == "lstm_b":
             continue
@@ -318,6 +321,8 @@ class WordPass:
         else:
             dlogp = dlogdist
         def put(field, op, *args, **kwargs):  # field (+)= op(*args, **kwargs)
+            if op is np.matmul and args[0].shape[1] == 1:  # numpy skips BLAS at K=1,
+                op = np.multiply  # where the broadcast outer product gives the same bits faster
             if accumulate:
                 field += op(*args, **kwargs)
             else:

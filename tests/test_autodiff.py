@@ -193,25 +193,33 @@ def test_adam_rejects_mismatched_grad():
         Adam(np.zeros(3), np.zeros(4))
 
 
+def clip(grad, max_norm):
+    """Scale grad in place by clip_global_norm's factor, as Adam.step does;
+    the norm before clipping."""
+    norm, factor = clip_global_norm(grad, max_norm)
+    grad *= factor
+    return norm
+
+
 def test_clip_global_norm():
     g = np.array([3.0, 0.0, 0.0, 4.0])
-    norm = clip_global_norm(g, 5.0)
+    norm = clip(g, 5.0)
     assert norm == 5.0
     assert np.array_equal(g, [3.0, 0.0, 0.0, 4.0])  # at the threshold, untouched
 
     g[:] = [6.0, 0.0, 0.0, 8.0]
-    norm = clip_global_norm(g, 5.0)
+    norm = clip(g, 5.0)
     assert norm == 10.0
     assert abs(np.sqrt((g ** 2).sum()) - 5.0) < 1e-12
     assert np.allclose(g, [3.0, 0.0, 0.0, 4.0], rtol=0, atol=1e-15)
 
-    assert clip_global_norm(np.zeros(2), 5.0) == 0.0  # zero gradients stay zero
+    assert clip(np.zeros(2), 5.0) == 0.0  # zero gradients stay zero
 
 
 def test_clip_global_norm_keeps_direction_when_squared_norm_overflows():
     g = np.array([1e200, -3e200, 0.5])
     with np.errstate(over="ignore"):  # np.dot(g, g) overflows
-        norm = clip_global_norm(g, 5.0)
+        norm = clip(g, 5.0)
     assert abs(norm - np.sqrt(10.0) * 1e200) <= 1e-12 * norm
     assert abs(np.linalg.norm(g) - 5.0) <= 1e-12 * 5.0
     direction = np.array([1.0, -3.0, 0.5e-200]) / np.sqrt(10.0)
@@ -219,7 +227,7 @@ def test_clip_global_norm_keeps_direction_when_squared_norm_overflows():
 
     g = np.full(4, 1e308)  # the norm itself is beyond the float range
     with np.errstate(over="ignore"):
-        assert clip_global_norm(g, 5.0) == np.inf
+        assert clip(g, 5.0) == np.inf
     assert np.allclose(g, np.full(4, 2.5), rtol=1e-12, atol=0)
 
 
@@ -227,5 +235,5 @@ def test_clip_global_norm_lets_non_finite_gradients_diverge():
     for bad in (np.inf, np.nan):
         g = np.array([1.0, bad, 2.0])
         with np.errstate(invalid="ignore"):
-            assert not np.isfinite(clip_global_norm(g, 5.0))
+            assert not np.isfinite(clip(g, 5.0))
         assert not np.isfinite(g).all()

@@ -20,7 +20,7 @@ import pytest
 
 import synthlang
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
-from vecphon import cli
+from vecphon import cli, training
 from vecphon.cli import build_parser, main
 from vecphon.model import Variant, init_params, spell_and_score
 from vecphon.vocab import Alphabet, MorphemeVocab, encode_entry
@@ -398,6 +398,7 @@ def test_resample_output_does_not_depend_on_worker_count(tmp_path, monkeypatch, 
     assert curves[0] == curves[1]
     assert len(curves[0].splitlines()) == 1 + 2 * 3
     assert multiprocessing.active_children() == []
+    assert cli._run_cell.cell is None  # the pool kept no reference to the last cell's data
 
 
 def test_resample_worker_failures_end_in_one_error_line(tmp_path, monkeypatch, capfd):
@@ -435,7 +436,7 @@ def test_resample_worker_failures_end_in_one_error_line(tmp_path, monkeypatch, c
 # A resample on two cores whose workers record their pids and then block.
 KILLED_RESAMPLE = """
 import json, os, sys, time
-from vecphon import cli
+from vecphon import cli, training
 os.sched_getaffinity = lambda pid: {0, 1}
 def train(*args, **kwargs):
     with open(sys.argv[1], "a") as f:
@@ -484,6 +485,108 @@ def test_killed_resample_leaves_no_worker(tmp_path, sig):
         for pid in workers:
             if running(int(pid)):
                 os.kill(int(pid), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_train_bytes_do_not_depend_on_the_shard_count(tmp_path, monkeypatch, variant):
+    # the shard minimum, the shard cap and the core count force 1, 2 and 3
+    # optimizer shards on any host; the update is elementwise, so every
+    # split writes the same trainlog and checkpoint
+    data, _ = write_toy(tmp_path)
+    monkeypatch.setattr(training, "SHARD_MIN", 1)
+    monkeypatch.setattr(training, "SHARD_MAX", 3)
+    forks = []
+    fork = training.Adam._fork
+    monkeypatch.setattr(training.Adam, "_fork",
+                        lambda self, *args: forks.append(1) or fork(self, *args))
+    for batch in ("1", "3"):
+        runs = []
+        for shards in (1, 2, 3):
+            monkeypatch.setattr(training, "usable_cores", lambda: shards)
+            out = tmp_path / f"{batch}-{shards}"
+            assert main(["train", "--data", data, "--variant", variant, "--dim", "8",
+                         "--epochs", "2", "--batch-size", batch, "--dropout", "0.1",
+                         "--seed", "5", "--out-dir", str(out)]) == 0
+            runs.append([(out / name).read_bytes() for name in ("trainlog.tsv", "checkpoint.vpck")])
+        assert runs[1] == runs[0] and runs[2] == runs[0], (variant, batch)
+    assert len(forks) == 2 * (0 + 1 + 2)  # one helper per shard after the first
+
+
+# A d=200 train on two cores that records its optimizer helpers' pids.
+SHARDED_TRAIN = """
+import json, os, sys
+from vecphon import cli, training
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = training.Adam._fork
+def recorded(self, *args):
+    helper = fork(self, *args)
+    with open(sys.argv[1], "a") as f:
+        f.write(f"{helper[0]}\\n")
+    return helper
+training.Adam._fork = recorded
+code = cli.main(json.loads(sys.argv[2]))
+with open(sys.argv[1]) as f:  # a helper that train reaped has no /proc entry left
+    print(json.dumps([os.path.exists(f"/proc/{pid}") for pid in f.read().split()]))
+sys.exit(code)
+"""
+
+
+def start_sharded_train(tmp_path):
+    """The SHARDED_TRAIN process, once it has forked its one helper, and
+    that helper's pid."""
+    data, _ = write_toy(tmp_path)
+    argv = ["train", "--data", data, "--dim", "200", "--epochs", "100000", "--min-lr", "1e-30",
+            "--out-dir", str(tmp_path / "out")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.dirname(cli.__file__) + "/..",
+                                           os.environ.get("PYTHONPATH", "")]))
+    pid_file = tmp_path / "helpers"
+    proc = subprocess.Popen([sys.executable, "-c", SHARDED_TRAIN, str(pid_file), json.dumps(argv)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    deadline = time.monotonic() + 60
+    while not pid_file.exists() and time.monotonic() < deadline and proc.poll() is None:
+        time.sleep(0.05)
+    helpers = pid_file.read_text().split() if pid_file.exists() else []
+    if len(helpers) != 1:
+        proc.kill()
+        proc.communicate()
+        pytest.fail(f"train did not fork one optimizer helper: {helpers}")
+    time.sleep(0.5)  # into the training steps
+    return proc, int(helpers[0])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
+def test_killed_train_leaves_no_helper(tmp_path, sig):
+    proc, helper = start_sharded_train(tmp_path)
+    try:
+        proc.send_signal(sig)
+        proc.communicate(timeout=30)
+        deadline = time.monotonic() + 10
+        while running(helper) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(helper), "an optimizer helper outlived train"
+    finally:
+        proc.kill()
+        proc.communicate()
+        if running(helper):
+            os.kill(helper, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states in /proc")
+def test_dead_helper_ends_train_in_one_error_line(tmp_path):
+    proc, helper = start_sharded_train(tmp_path)
+    try:
+        os.kill(helper, signal.SIGKILL)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 1
+    lines = err.strip().splitlines()
+    assert lines[-1] == "error: TrainingError: an optimizer helper process died", err
+    assert sum(line.startswith("error:") for line in lines) == 1 and "Traceback" not in err
+    assert json.loads(out) == [False]  # reaped by train, not left a zombie
 
 
 def write_manifest(directory, **files):

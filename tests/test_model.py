@@ -746,10 +746,11 @@ def test_word_grads_on_random_words_and_sizes():
 
 def test_weight_grads_over_one_or_several_steps_and_morphemes():
     # each weight gradient is one matrix product over the word's rows;
-    # check it where those products degenerate (one step, one morpheme)
-    # as well as over several of each
+    # check it where those products degenerate (one step, one morpheme,
+    # one symbol: inner dimensions of 1) as well as over several of each
     alphabet, params = word_setup(6)
-    for morphs, form in (((1,), ()), ((0, 2), ()), ((3,), (1, 2, 0)), ((0, 1, 2), (2, 2, 1))):
+    for morphs, form in (((1,), ()), ((0, 2), ()), ((2,), (3,)), ((3,), (1, 2, 0)),
+                         ((0, 1, 2), (2, 2, 1))):
         entry = LexiconEntry(morphs, form)
         for variant in ALL_VARIANTS:
             grads = check_word_grads(variant, entry, params, alphabet,

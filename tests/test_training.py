@@ -3,6 +3,8 @@ identities, determinism, and best-checkpoint restoration."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ def test_batch_step_uses_mean_of_per_word_gradients(tiny_harmony, monkeypatch):
         n = after_step[0].size
         assert n == params.flat.size - (variant is Variant.POS_INDEPENDENT) * params.attn_t.size
         mean = (grads[0].flat[:n] + grads[1].flat[:n]) / 2.0
-        clip_global_norm(mean, tr.GRAD_NORM_CAP)
+        mean *= clip_global_norm(mean, tr.GRAD_NORM_CAP)[1]
         opt = Adam(params.flat[:n], mean, lr=cfg.lr)
         opt.step()
         assert np.allclose(after_step[0], params.flat[:n], rtol=0, atol=1e-12)
@@ -234,7 +236,7 @@ def test_written_gradients_and_attn_t_prefix_match_zero_and_add_reference(
                         elbo_word_loss(variant, entry, params, alphabet, noise_rng,
                                        dropout=cfg.dropout, drop_rng=drop_rng, grads=grads)
                     grads.flat /= len(batch)
-                    clip_global_norm(opt.grad, tr.GRAD_NORM_CAP)
+                    opt.grad *= clip_global_norm(opt.grad, tr.GRAD_NORM_CAP)[1]
                     opt.step()
                     reference.append(params.flat.copy())
             for got, want in zip(stepped, reference):
@@ -258,17 +260,36 @@ def test_train_deterministic_and_loss_decreases(tiny_harmony):
     assert all(x >= y for x, y in zip(lrs, lrs[1:]))
 
 
-def test_train_restores_best_checkpoint(tiny_harmony):
+def written_in_a_fork(flat) -> bool:
+    """Whether a forked child's write into ``flat`` reaches this process."""
+    before = flat[0]
+    pid = os.fork()
+    if pid == 0:
+        try:
+            flat[0] = before + 1.0
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    return flat[0] != before
+
+
+def test_train_restores_best_checkpoint(tiny_harmony, monkeypatch):
     slots, alphabet, vocab, entries = tiny_harmony
     cfg = make_config(d=10, max_epochs=5, seed=8)
-    params, log = train(cfg, entries, entries, alphabet, vocab)
-    # returned parameters are the quantized best snapshot: recomputing the
-    # dev loss reproduces the logged value exactly
-    got = mean_dev_loss(cfg.variant, entries, params, alphabet)
-    assert got == log.best_dev_loss
-    assert log.best_epoch >= 1
-    # and they are exactly f32-representable
-    assert np.array_equal(params.flat, params.flat.astype(np.float32).astype(np.float64))
+    monkeypatch.setattr(tr, "SHARD_MIN", 1)
+    for shards in (1, 2):  # 2: params and grads in memory shared with a helper
+        monkeypatch.setattr(tr, "usable_cores", lambda: shards)
+        params, log = train(cfg, entries, entries, alphabet, vocab)
+        # returned parameters are the quantized best snapshot: recomputing the
+        # dev loss reproduces the logged value exactly
+        got = mean_dev_loss(cfg.variant, entries, params, alphabet)
+        assert got == log.best_dev_loss
+        assert log.best_epoch >= 1
+        # and they are exactly f32-representable
+        assert np.array_equal(params.flat, params.flat.astype(np.float32).astype(np.float64))
+        # in memory of this process's own, where inference runs at full speed
+        assert not written_in_a_fork(params.flat), shards
+    assert written_in_a_fork(params.like(shared=True).flat)
 
 
 def test_fields_stay_views_of_the_buffer(tmp_path, tiny_harmony):
