@@ -30,7 +30,7 @@ from .errors import CompatibilityError, ConfigError, DataError, TrainingError, V
 from .evaluation import EvalReport, cosine, evaluate, pca2, predict, resample_eval
 from .model import Variant
 from .seeds import derive_rng, derive_seed
-from .training import TrainConfig, follow_parent, train, usable_cores
+from .training import TrainConfig, blas_threads, follow_parent, train, usable_cores
 from .vocab import encode_entry
 
 
@@ -286,17 +286,6 @@ def cmd_export_embeddings(ns) -> None:
     print(f"wrote {len(table)} rows to {out_path}")
 
 
-def worker_count(cores: int, cells: int, environ) -> int:
-    """Processes for resample's cells: usable cores over BLAS threads per
-    process, at most one per cell. BLAS threads are read as OpenBLAS reads
-    them: OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per core."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(var, "").strip()
-        if value.isdecimal() and int(value) >= 1:  # else unset, as empty or "abc"
-            return max(1, min(cores // int(value), cells))
-    return 1
-
-
 def _run_cell(*args):  # in a forked worker, which inherits fork_pool's _run_cell.cell
     return _run_cell.cell(*args)  # under main's np.errstate, which the fork inherits
 
@@ -305,11 +294,11 @@ def _run_cell(*args):  # in a forked worker, which inherits fork_pool's _run_cel
 def fork_pool(cell, cells: int):
     """(runner, map) for ``cells`` independent calls of ``cell``, where
     ``map(runner, ...)`` yields their results in order. The calls run in
-    worker_count forked workers, or in this process when that is one.
-    Workers inherit ``cell``, its data and the BLAS thread count, so only
-    the arguments and the result are pickled; the pool forks them all
-    before it starts its own threads. Leaving joins every worker."""
-    workers = worker_count(usable_cores(), cells, os.environ)
+    usable_cores() forked workers, at most one per cell, or in this process
+    when that is one. Workers inherit ``cell``, its data and one BLAS thread,
+    so only the arguments and the result are pickled; the pool forks them
+    all before it starts its own threads. Leaving joins every worker."""
+    workers = max(1, min(usable_cores(), cells))
     if workers == 1:
         yield cell, map
         return
@@ -466,6 +455,7 @@ def build_parser():
 def main(argv=None) -> int:
     """Parses, creates --out-dir, runs the subcommand and, on success,
     echoes its options to out-dir/config.txt."""
+    blas_threads(1)  # so a run writes the same bytes on any host, and forks onto every core
     parser, subcommands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:

@@ -23,6 +23,7 @@ updating one contiguous shard of it from 2 * SHARD_MIN trained elements.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import signal
@@ -51,18 +52,31 @@ SHARD_MIN = 10_000
 # shards at most: a step over 2 was measured (on 2 cores), never one over 3 or more,
 # each of which adds a pipe round trip per step to a memory-bound update
 SHARD_MAX = 2
-_forked = False  # follow_parent ran: this process is a forked child
+_forked = False  # follow_parent ran: a forked child, whose siblings hold the other cores
+
+
+def blas_threads(n: int | None = None) -> int | None:
+    """numpy's OpenBLAS thread count, first set to ``n`` if given; None with another BLAS."""
+    try:  # the extension module's dependency scope reaches the bundled OpenBLAS
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):  # another BLAS, or numpy 1.x
+        return None
+    get.argtypes, get.restype, put.argtypes, put.restype = (), ctypes.c_int, (ctypes.c_int,), None
+    if n is not None:
+        put(n)
+    return get()
 
 
 def usable_cores() -> int:
-    """Cores for this process: one in a forked child, whose siblings hold the rest."""
-    return 1 if _forked or not hasattr(os, "sched_getaffinity") else len(os.sched_getaffinity(0))
+    """The affinity count, but 1 in a forked child or where BLAS may run several threads."""
+    alone = not _forked and hasattr(os, "sched_getaffinity") and blas_threads() == 1
+    return len(os.sched_getaffinity(0)) if alone else 1
 
 
 def follow_parent(parent: int) -> None:
     """In a fresh fork: the kernel kills this process when ``parent`` ends (PR_SET_PDEATHSIG)."""
     global _forked
-    import ctypes
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
     if prctl(1, signal.SIGKILL) != 0 or os.getppid() != parent:  # 1 is PR_SET_PDEATHSIG

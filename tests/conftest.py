@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import os
 
-# The suite's GEMMs are a few rows each, where a second BLAS thread only
-# spins; an explicit setting in the environment still wins.
+# cli.main pins one BLAS thread itself, so this matters only for tests that
+# call the library directly, such as criteria 4 and 5 through cli.fork_pool,
+# which forks only where BLAS reads one thread. An explicit setting in the
+# environment still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

@@ -2,6 +2,7 @@
 
 import ast
 import concurrent.futures.process
+import ctypes
 import importlib
 import json
 import multiprocessing
@@ -345,10 +346,10 @@ def resample_argv(tmp_path, out_name, *extra):
             "--dim", "8", "--epochs", "2", "--out-dir", str(tmp_path / out_name), *extra]
 
 
-def two_cores(monkeypatch):
-    """Two usable cores; returns the worker counts of the process pools
+def record_pools(monkeypatch, cores=2):
+    """``cores`` usable cores; returns the worker counts of the process pools
     that resample starts from then on."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     pools = []
 
     class RecordingPool(concurrent.futures.process.ProcessPoolExecutor):
@@ -360,53 +361,94 @@ def two_cores(monkeypatch):
     return pools
 
 
-def test_worker_count_follows_cores_over_blas_threads():
-    assert cli.worker_count(4, 10, {}) == 1  # unpinned: BLAS takes every core
-    assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": "1"}) == 4
-    assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": "2"}) == 2
-    assert cli.worker_count(4, 10, {"OMP_NUM_THREADS": "1"}) == 4
-    assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}) == 1
-    for unset in ("0", "-1", "abc", "", " ", "1.5"):  # counts as unset
-        assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": unset}) == 1
-        assert cli.worker_count(4, 10, {"OPENBLAS_NUM_THREADS": unset,
-                                        "OMP_NUM_THREADS": "2"}) == 2
-    assert cli.worker_count(8, 3, {"OPENBLAS_NUM_THREADS": "1"}) == 3  # fewer cells
-    assert cli.worker_count(2, 10, {"OPENBLAS_NUM_THREADS": "64"}) == 1
-    for cores in (1, 2, 3, 8):
-        for cells in (1, 2, 5, 20):
-            for threads in ("1", "2", "3", "64", "", "x"):
-                n = cli.worker_count(cores, cells, {"OPENBLAS_NUM_THREADS": threads})
-                assert 1 <= n <= min(cores, cells)
+def hide_openblas(monkeypatch, how):
+    """numpy's OpenBLAS out of ctypes' reach, as with another BLAS: no
+    library to open, or a library without the thread symbols."""
+    def cdll(path, *args, **kwargs):
+        if how == "no-library":
+            raise OSError(f"{path}: cannot open shared object file")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+
+
+def unpinned_env(**extra):
+    """This process's environment without a BLAS thread setting, with
+    vecphon importable."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(cli.__file__) + "/..",
+                                         os.environ.get("PYTHONPATH", "")])
+    return dict(env, **extra)
+
+
+def test_resample_pool_has_one_worker_per_core_up_to_the_cells(tmp_path, monkeypatch):
+    pools = record_pools(monkeypatch, cores=8)
+    assert main(resample_argv(tmp_path, "three", "--sizes", "4", "--resamples", "3")) == 0
+    assert pools == [3]  # 3 cells on 8 cores
+    for resamples in ("1", "0", "-1"):  # one cell runs in process; zero or fewer start no pool
+        assert main(resample_argv(tmp_path, "few", "--sizes", "4",
+                                  "--resamples", resamples)) == 2
+    assert pools == [3]
+    assert multiprocessing.active_children() == []
 
 
 def test_resample_output_does_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
     variants = ("--variants", "pos-indep,pos-dep,joint")
-    pools = two_cores(monkeypatch)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "64")
-    assert main(resample_argv(tmp_path, "serial", *variants)) == 0
+    pools = record_pools(monkeypatch)
+    with monkeypatch.context() as without_openblas:
+        hide_openblas(without_openblas, "no-symbol")
+        assert main(resample_argv(tmp_path, "serial", *variants)) == 0
     serial_out = capsys.readouterr().out
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert pools == []
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     assert main(resample_argv(tmp_path, "unpinned", *variants)) == 0
-    capsys.readouterr()
-    assert pools == []  # an unpinned run never forks
+    assert pools == [2]  # every run pins one BLAS thread, so an unpinned run forks too
+    assert capsys.readouterr().out == serial_out
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert main(resample_argv(tmp_path, "forked", *variants)) == 0
-    assert pools == [2]
+    assert pools == [2, 2]
     assert capsys.readouterr().out == serial_out
-    curves = [(tmp_path / d / "curve.tsv").read_bytes() for d in ("serial", "forked")]
-    assert curves[0] == curves[1]
+    curves = [(tmp_path / d / "curve.tsv").read_bytes() for d in ("serial", "unpinned", "forked")]
+    assert curves[1] == curves[0] and curves[2] == curves[0]
     assert len(curves[0].splitlines()) == 1 + 2 * 3
     assert multiprocessing.active_children() == []
     assert cli._run_cell.cell is None  # the pool kept no reference to the last cell's data
 
 
+@pytest.mark.parametrize("how", ["no-library", "no-symbol"])
+def test_without_openblas_train_and_resample_run_in_process(tmp_path, monkeypatch, capfd, how):
+    pools = record_pools(monkeypatch)
+    monkeypatch.setattr(training, "SHARD_MIN", 1)  # so that a d=8 model shards on two cores
+    forks = []
+    fork = training.Adam._fork
+    monkeypatch.setattr(training.Adam, "_fork",
+                        lambda self, *args: forks.append(1) or fork(self, *args))
+    data, _ = write_toy(tmp_path)
+
+    def train_run(name):
+        out = tmp_path / name
+        assert main(["train", "--data", data, "--dim", "8", "--epochs", "2",
+                     "--out-dir", str(out)]) == 0
+        return [(out / f).read_bytes() for f in ("trainlog.tsv", "checkpoint.vpck")]
+
+    sharded = train_run("sharded")
+    assert forks == [1]  # with OpenBLAS in reach, train forks its helper
+    hide_openblas(monkeypatch, how)
+    assert training.blas_threads(1) is None and training.usable_cores() == 1
+    assert train_run("alone") == sharded
+    assert main(resample_argv(tmp_path, "resample")) == 0
+    assert capfd.readouterr().err == ""
+    assert forks == [1] and pools == []
+
+
 def test_resample_worker_failures_end_in_one_error_line(tmp_path, monkeypatch, capfd):
-    pools = two_cores(monkeypatch)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "64")
-    assert main(resample_argv(tmp_path, "serial", "--lr", "1e300")) == 1
+    pools = record_pools(monkeypatch)
+    with monkeypatch.context() as without_openblas:
+        hide_openblas(without_openblas, "no-library")
+        assert main(resample_argv(tmp_path, "serial", "--lr", "1e300")) == 1
     serial_err = capfd.readouterr().err
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert main(resample_argv(tmp_path, "forked", "--lr", "1e300")) == 1
     out, err = capfd.readouterr()
     assert err == serial_err and err.startswith("error: TrainingError: ")
@@ -460,9 +502,7 @@ def running(pid):
 @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL], ids=["term", "kill"])
 def test_killed_resample_leaves_no_worker(tmp_path, sig):
     pid_file = tmp_path / "workers"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([os.path.dirname(cli.__file__) + "/..",
-                                           os.environ.get("PYTHONPATH", "")]))
+    env = unpinned_env()
     proc = subprocess.Popen([sys.executable, "-c", KILLED_RESAMPLE, str(pid_file),
                              json.dumps(resample_argv(tmp_path, "out"))],
                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -485,6 +525,36 @@ def test_killed_resample_leaves_no_worker(tmp_path, sig):
         for pid in workers:
             if running(int(pid)):
                 os.kill(int(pid), signal.SIGKILL)
+
+
+# A train in a fresh process; prints numpy's BLAS thread count before and after main.
+TRAIN_IN_CHILD = """
+import json, sys
+from vecphon import cli, training
+before = training.blas_threads()
+code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([before, training.blas_threads()]))
+sys.exit(code)
+"""
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # small products may round alike at any thread count; the thread count
+    # read after main is what shows the pin
+    data, _ = write_toy(tmp_path)
+    runs = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        argv = ["train", "--data", data, "--variant", "pos-dep", "--dim", "16", "--epochs", "2",
+                "--dropout", "0.1", "--seed", "5", "--out-dir", str(out)]
+        env = unpinned_env() if threads is None else unpinned_env(OPENBLAS_NUM_THREADS=threads)
+        child = subprocess.run([sys.executable, "-c", TRAIN_IN_CHILD, json.dumps(argv)],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0 and child.stderr == "", child.stderr
+        before, after = json.loads(child.stdout.splitlines()[-1])
+        assert after == (None if before is None else 1), (threads, before, after)
+        runs.append([(out / name).read_bytes() for name in ("trainlog.tsv", "checkpoint.vpck")])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
@@ -537,9 +607,7 @@ def start_sharded_train(tmp_path):
     data, _ = write_toy(tmp_path)
     argv = ["train", "--data", data, "--dim", "200", "--epochs", "100000", "--min-lr", "1e-30",
             "--out-dir", str(tmp_path / "out")]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([os.path.dirname(cli.__file__) + "/..",
-                                           os.environ.get("PYTHONPATH", "")]))
+    env = unpinned_env()
     pid_file = tmp_path / "helpers"
     proc = subprocess.Popen([sys.executable, "-c", SHARDED_TRAIN, str(pid_file), json.dumps(argv)],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

@@ -273,6 +273,16 @@ def written_in_a_fork(flat) -> bool:
     return flat[0] != before
 
 
+def test_blas_threads_reaches_numpys_openblas():
+    # a misspelt symbol would read None everywhere, and quietly turn off the
+    # optimizer shards and resample's pool
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not scipy-openblas")
+    assert isinstance(tr.blas_threads(), int)
+    assert tr.blas_threads(1) == 1
+
+
 def test_train_restores_best_checkpoint(tiny_harmony, monkeypatch):
     slots, alphabet, vocab, entries = tiny_harmony
     cfg = make_config(d=10, max_epochs=5, seed=8)
