@@ -17,8 +17,9 @@ into one flat gradient buffer laid out like the parameters
 (``ModelParams.flat``). A batch's first word writes the dense blocks and
 the rest add to them; embedding rows are added, and cleared after the
 step. A batch is the mean of its words' gradients. Clipping and the Adam
-update are in-place numpy operations on the flat buffer, each usable core
-updating one contiguous shard of it from 2 * SHARD_MIN trained elements.
+update are in-place numpy operations on the flat buffer; from 2 * SHARD_MIN
+trained elements on more than one usable core, a forked helper updates its
+second half.
 """
 
 from __future__ import annotations
@@ -46,12 +47,9 @@ IMPROVE_TOL = 1e-6
 # cache while a dozen elementwise passes run over them
 ADAM_BLOCK = 1 << 15
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# trained elements per optimizer shard, at least: one shard against two,
-# a step broke even at about 18k elements (README, Training behavior)
+# trained elements per half of a split optimizer step, at least: the whole
+# against two halves, a step broke even at about 18k elements (README, Training behavior)
 SHARD_MIN = 10_000
-# shards at most: a step over 2 was measured (on 2 cores), never one over 3 or more,
-# each of which adds a pipe round trip per step to a memory-bound update
-SHARD_MAX = 2
 _forked = False  # follow_parent ran: a forked child, whose siblings hold the other cores
 
 
@@ -90,44 +88,43 @@ class Adam:
     scales by the clip factor. The learning rate is an attribute so a
     scheduler can change it between steps.
 
-    ``shards`` above 1 cuts the buffers, which must be memory that forked
-    children share (a ``shared`` ModelParams), into contiguous shards. This
-    process updates the first and a forked helper, with an Adam of its own,
-    each other one; the update is elementwise, so the bytes do not depend
-    on the shard count. ``close`` ends the helpers.
+    With ``helper`` the buffers must be memory that forked children share
+    (a ``shared`` ModelParams): this process updates the first half of
+    them and one forked helper, with an Adam of its own, the second. The
+    update is elementwise, so the bytes do not depend on the split.
+    ``close`` ends the helper.
     """
 
     def __init__(self, params: np.ndarray, grad: np.ndarray, lr: float = 1e-3, *,
-                 max_norm: float = np.inf, shards: int = 1):
+                 max_norm: float = np.inf, helper: bool = False):
         if params.shape != grad.shape or params.ndim != 1:
             raise ShapeError(f"gradient buffer {grad.shape} does not match "
                              f"flat parameter buffer {params.shape}")
         self.params, self.grad, self.lr, self.max_norm = params, grad, lr, max_norm
         self.step_count = 0
-        cuts = [params.size * i // shards for i in range(shards + 1)]
-        self._helpers = []  # (pid, fd of its step messages, fd of its replies)
-        try:
-            for lo, hi in zip(cuts[1:-1], cuts[2:]):
-                self._helpers.append(self._fork(params[lo:hi], grad[lo:hi]))
-        except OSError:  # no process for a helper: end those already forked
-            self.close()
-            raise
-        n = cuts[1]  # this process's shard: the moments and an update's scratch
+        n = params.size // 2 if helper else params.size  # this process's part of the buffers
         self.m, self.v, self._scratch = np.zeros(n), np.zeros(n), np.empty((2, min(ADAM_BLOCK, n)))
+        # (pid, fd of its step messages, fd of its replies): forked last, so no failure strands it
+        self._helper = self._fork(params[n:], grad[n:]) if helper else None
 
     def _fork(self, params, grad) -> tuple[int, int, int]:
         down, to_helper = os.pipe()
         from_helper, up = os.pipe()
-        parent, pid = os.getpid(), os.fork()
-        if pid == 0:  # the helper: per message, update the shard and reply a byte
+        try:
+            parent, pid = os.getpid(), os.fork()
+        except OSError:  # no process for the helper
+            for fd in (down, to_helper, from_helper, up):
+                os.close(fd)
+            raise
+        if pid == 0:  # the helper: per message, update its half and reply a byte
             try:
                 follow_parent(parent)
                 signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's
-                for fd in (to_helper, from_helper, *(fd for h in self._helpers for fd in h[1:])):
-                    os.close(fd)
-                shard = Adam(params, grad)
+                os.close(to_helper)
+                os.close(from_helper)
+                half = Adam(params, grad)
                 while message := os.read(down, 24):  # until the parent closes the pipe
-                    shard._update(*struct.unpack("3d", message))
+                    half._update(*struct.unpack("3d", message))
                     os.write(up, b"\0")
             finally:
                 os._exit(0)
@@ -143,10 +140,10 @@ class Adam:
         norm, scale = clip_global_norm(self.grad, self.max_norm)
         args = (self.lr * np.sqrt(c2) / c1, ADAM_EPS * np.sqrt(c2), scale)
         try:
-            for _, to_helper, _ in self._helpers:
-                os.write(to_helper, struct.pack("3d", *args))
+            if self._helper:
+                os.write(self._helper[1], struct.pack("3d", *args))
             self._update(*args)
-            if not all(os.read(from_helper, 1) for _, _, from_helper in self._helpers):
+            if self._helper and not os.read(self._helper[2], 1):
                 raise OSError  # an empty read: the helper is gone
         except OSError:
             raise TrainingError("an optimizer helper process died") from None
@@ -154,7 +151,7 @@ class Adam:
 
     def _update(self, rate: float, eps: float, scale: float) -> None:
         """g *= scale, then p -= rate * m / (sqrt(v) + eps) over this
-        process's shard, one ADAM_BLOCK at a time."""
+        process's part, one ADAM_BLOCK at a time."""
         b1, b2, n = ADAM_BETA1, ADAM_BETA2, self.m.size
         for lo in range(0, n, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, n)
@@ -176,12 +173,13 @@ class Adam:
             p -= r
 
     def close(self) -> None:
-        """End the helpers, which read the end of their messages, and reap them."""
-        for pid, to_helper, from_helper in self._helpers:
+        """End the helper, which reads the end of its messages, and reap it."""
+        if self._helper:
+            pid, to_helper, from_helper = self._helper
             os.close(to_helper)
             os.close(from_helper)
             os.waitpid(pid, 0)
-        self._helpers = []
+            self._helper = None
 
 
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> tuple[float, float]:
@@ -329,16 +327,16 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
     # pos-indep never reads attn_t, the last field, so Adam would keep it
     trained = (sum(map(math.prod, param_shapes(config.d, len(vocab), alphabet).values()))
                - (config.variant is Variant.POS_INDEPENDENT) * config.d ** 2)
-    shards = max(1, min(usable_cores(), SHARD_MAX, trained // SHARD_MIN))
-    params = init_params(init_rng, len(vocab), alphabet, config.d, shards > 1)  # shared
-    grads = params.like(shared=shards > 1)
+    helper = usable_cores() > 1 and trained >= 2 * SHARD_MIN
+    params = init_params(init_rng, len(vocab), alphabet, config.d, helper)  # shared
+    grads = params.like(shared=helper)
     schedule = PlateauSchedule(config.lr, config.min_lr, config.patience)
     log = TrainLog()
     best = params.like()  # private, unlike params: it is what train returns
     n = len(train_entries)
 
     opt = Adam(params.flat[:trained], grads.flat[:trained], lr=config.lr, max_norm=GRAD_NORM_CAP,
-               shards=shards)
+               helper=helper)
     try:
         for epoch in range(1, config.max_epochs + 1):
             lr_in_effect = schedule.lr

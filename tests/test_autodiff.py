@@ -9,39 +9,18 @@ checks use the model's own forward pass.
 
 from __future__ import annotations
 
+import mmap
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from test_model import ALL_VARIANTS, analytic_grads, pass_kwargs, word_setup
 from vecphon.errors import ShapeError
-from vecphon.model import Variant, WordPass, init_params
-from vecphon.training import ADAM_EPS, Adam, clip_global_norm
-from vecphon.vocab import Alphabet, LexiconEntry
-
-ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
-
-
-def word_setup(seed, d=3, n_chars=4, n_morphs=4):
-    alphabet = Alphabet([chr(ord("a") + i) for i in range(n_chars)])
-    params = init_params(np.random.default_rng(seed), n_morphs, alphabet, d)
-    return alphabet, params
-
-
-def pass_kwargs(params, seed, dropout=0.0):
-    """Fresh, identically seeded noise and dropout sources, so every call
-    sees the same draws."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((16, params.d))
-    it = iter(noise)
-    kwargs = {"eps": lambda: next(it)}
-    if dropout > 0.0:
-        kwargs.update(dropout=dropout, drop_rng=np.random.default_rng(seed + 1))
-    return kwargs
-
-
-def analytic_grads(variant, entry, params, alphabet, kwargs):
-    grads = params.like()
-    WordPass(variant, entry, params, alphabet, **kwargs).nll_backward(grads)
-    return grads
+from vecphon.model import Variant, WordPass
+from vecphon.training import ADAM_BLOCK, ADAM_EPS, Adam, clip_global_norm
+from vecphon.vocab import LexiconEntry
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +170,83 @@ def test_adam_treats_missing_grad_as_zero():
 def test_adam_rejects_mismatched_grad():
     with pytest.raises(ShapeError):
         Adam(np.zeros(3), np.zeros(4))
+
+
+def shared(values):
+    """A copy of ``values`` in memory that forked children write into too."""
+    flat = np.frombuffer(mmap.mmap(-1, 8 * values.size), count=values.size)
+    flat[:] = values
+    return flat
+
+
+def record_forks(monkeypatch):
+    """The pids that os.fork returns from then on, in this process."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+@pytest.mark.parametrize("size", [2 * ADAM_BLOCK + 1, ADAM_BLOCK // 3, 5 * ADAM_BLOCK + 6],
+                         ids=["odd", "below-one-block", "several-blocks"])
+def test_adam_helper_steps_to_the_same_bytes(monkeypatch, size):
+    # a forked helper updating the second half writes what this process
+    # alone writes over the whole buffer, clipped or not, and close leaves
+    # neither the helper nor a pipe behind
+    rng = np.random.default_rng(size)
+    start = rng.standard_normal(size)
+    grads = [rng.standard_normal(size), rng.standard_normal(size) / (10 * np.sqrt(size))]
+    pids, fds = record_forks(monkeypatch), open_fds()
+    steps = {False: [], True: []}  # the parameter bytes after each step
+    for helper in (False, True):
+        params, grad = shared(start), shared(np.zeros(size))
+        opt = Adam(params, grad, lr=0.01, max_norm=1.0, helper=helper)
+        try:
+            norms = []
+            for g in grads:
+                grad[:] = g
+                norms.append(opt.step())
+                steps[helper].append(params.tobytes())
+        finally:
+            opt.close()
+        assert norms[0] > 1.0 > norms[1]  # a clipped step, then an unclipped one
+    assert steps[True] == steps[False]
+    assert len(pids) == 1  # the helper run's one fork
+    with pytest.raises(ChildProcessError):  # reaped by close
+        os.waitpid(pids[0], os.WNOHANG)
+    assert open_fds() == fds
+
+
+def test_adam_forks_its_helper_once_the_moments_exist(monkeypatch):
+    # a failure before the fork leaves no helper blocked on its pipe
+    params, grad = shared(np.zeros(8)), shared(np.zeros(8))
+    pids, zeros, test_process = record_forks(monkeypatch), np.zeros, os.getpid()
+
+    def out_of_memory(*args, **kwargs):
+        if os.getpid() == test_process:  # a helper forked first allocates its own
+            raise MemoryError
+        return zeros(*args, **kwargs)
+
+    with monkeypatch.context() as no_memory:
+        no_memory.setattr(np, "zeros", out_of_memory)
+        with pytest.raises(MemoryError):
+            Adam(params, grad, helper=True)
+    alive = [pid for pid in pids if os.waitpid(pid, os.WNOHANG) == (0, 0)]
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert alive == []
 
 
 def clip(grad, max_norm):

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from test_model import ALL_VARIANTS
 from vecphon import training as tr
 from vecphon.checkpoint import load_checkpoint, save_checkpoint
 from vecphon.errors import ConfigError, TrainingError
@@ -16,8 +17,6 @@ from vecphon.seeds import derive_rng
 from vecphon.training import (Adam, PlateauSchedule, TrainConfig, clip_global_norm,
                               elbo_word_loss, mean_dev_loss, train)
 from vecphon.vocab import Alphabet, LexiconEntry
-
-ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
 
 
 def make_config(**kw):
