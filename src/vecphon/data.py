@@ -127,8 +127,8 @@ def parse_weighted_tsv(path) -> list[WeightedForm]:
             count = int(count_s)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: bad count {count_s!r}") from None
-        if count < 0:
-            raise ParseError(f"{path}:{lineno}: negative count {count}")
+        if not 0 <= count <= 2 ** 53:  # counts are sampled as float64, exact to 2**53
+            raise ParseError(f"{path}:{lineno}: count is negative or above 2**53")
         morphemes = (stem,) if affix == NO_AFFIX else (stem, affix)
         out.append(WeightedForm(form, morphemes, count))
     return out

@@ -246,19 +246,18 @@ class WordPass:
     every character position plus the final EOS emission, with what the
     backward pass needs.
 
-    ``eps`` is a callable returning the next Gaussian noise vector; None
-    means noise pinned to zero (the distribution mean), which is the
-    evaluation-time convention. The position-independent variant draws
-    one vector for the word, the position-dependent variant one per step,
-    and the joint variant none. Dropout is on iff ``dropout > 0``; then
-    ``drop_rng`` supplies the masks: one row per morpheme, then one per
-    step. Training is the only caller that turns it on.
+    ``eps`` and ``drop`` return an array of the shape they are given,
+    called at most once per word: ``eps`` the Gaussian noise, (d,) for the
+    position-independent variant and (T, d), one row per step, for the
+    position-dependent one (the joint variant draws none); ``drop`` the
+    (k + T, d) dropout masks, one row per morpheme, then one per step.
+    None pins the noise to zero (the distribution mean, the
+    evaluation-time convention) or turns dropout off.
     """
 
     def __init__(self, variant: Variant, entry: LexiconEntry, params: ModelParams,
-                 alphabet: Alphabet, *,
-                 eps: Callable[[], np.ndarray] | None = None, dropout: float = 0.0,
-                 drop_rng: np.random.Generator | None = None):
+                 alphabet: Alphabet, *, eps: Callable[..., np.ndarray] | None = None,
+                 drop: Callable[..., np.ndarray] | None = None):
         if len(entry.morphemes) == 0:
             raise DataError("a word needs at least one morpheme")
         self.variant = variant
@@ -270,17 +269,14 @@ class WordPass:
 
         self.m_rows = params.morph_emb[self.morphemes]
         self.x = params.char_emb[self.inputs]
-        self.masks = None
-        if dropout > 0.0:
-            self.masks = dropout_masks(drop_rng, dropout, (k + T, d))
+        self.masks = None if drop is None else drop((k + T, d))
+        if self.masks is not None:
             self.m_rows *= self.masks[:k]
             self.x *= self.masks[k:]
-
         self.noise = None
-        if eps is not None and variant is Variant.POS_INDEPENDENT:
-            self.noise = np.asarray(eps(), dtype=np.float64)
-        elif eps is not None and variant is Variant.POS_DEPENDENT:
-            self.noise = np.array([eps() for _ in range(T)], dtype=np.float64)
+        if eps is not None and variant is not Variant.JOINT:
+            shape = (d,) if variant is Variant.POS_INDEPENDENT else (T, d)
+            self.noise = np.asarray(eps(shape), dtype=np.float64)
 
         zx = self.x @ params.lstm_wx.T + params.lstm_b
         self.h = np.empty((T, d))

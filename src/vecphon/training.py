@@ -25,6 +25,7 @@ second half.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import signal
@@ -35,8 +36,8 @@ import numpy as np
 
 from .data import write_atomic
 from .errors import ConfigError, NumericError, ShapeError, TrainingError
-from .model import (ModelParams, Variant, WordPass, init_params, param_shapes,
-                    spell_and_score)
+from .model import (ModelParams, Variant, WordPass, dropout_masks, init_params,
+                    param_shapes, spell_and_score)
 from .seeds import derive_rng
 from .vocab import Alphabet, LexiconEntry, MorphemeVocab
 
@@ -285,13 +286,14 @@ def elbo_word_loss(variant: Variant, entry: LexiconEntry, params: ModelParams,
     """Negative log-likelihood at one underlying-form sample.
 
     With rng None (or for the joint variant, always) the noise is pinned
-    to zero, which is the deterministic dev/eval objective. With
-    ``grads`` given, the loss's gradient goes into it, as
-    ``WordPass.nll_backward`` with ``accumulate`` puts it.
+    to zero, which is the deterministic dev/eval objective; at dropout 0
+    ``drop_rng`` is not drawn from. With ``grads`` given, the loss's
+    gradient goes into it, as ``WordPass.nll_backward`` with
+    ``accumulate`` puts it.
     """
-    eps = None if rng is None else (lambda: rng.standard_normal(params.d))
-    word = WordPass(variant, entry, params, alphabet, eps=eps,
-                    dropout=dropout, drop_rng=drop_rng)
+    drop = functools.partial(dropout_masks, drop_rng, dropout) if dropout else None
+    word = WordPass(variant, entry, params, alphabet,
+                    eps=None if rng is None else rng.standard_normal, drop=drop)
     if grads is not None:
         word.nll_backward(grads, accumulate=accumulate)
     return -word.logprob
@@ -339,7 +341,7 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
                helper=helper)
     try:
         for epoch in range(1, config.max_epochs + 1):
-            lr_in_effect = schedule.lr
+            lr_in_effect = opt.lr = schedule.lr  # the schedule moves only between epochs
             order = order_rng.permutation(n)
             loss_sum = 0.0
             try:
@@ -352,7 +354,6 @@ def train(config: TrainConfig, train_entries: list[LexiconEntry],
                             accumulate=j > 0))
                     if len(batch) > 1:
                         opt.grad /= len(batch)
-                    opt.lr = schedule.lr
                     opt.step()
                     grads.morph_emb[[m for e in batch for m in e.morphemes]] = 0.0
                     grads.char_emb[[alphabet.bos_id, *(c for e in batch for c in e.form)]] = 0.0

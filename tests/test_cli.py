@@ -615,9 +615,13 @@ def start_sharded_train(tmp_path):
     proc = subprocess.Popen([sys.executable, "-c", SHARDED_TRAIN, str(pid_file), json.dumps(argv)],
                             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     deadline = time.monotonic() + 60
-    while not pid_file.exists() and time.monotonic() < deadline and proc.poll() is None:
+
+    def written_pids():  # the file exists from its open, before the pid's line is written
+        text = pid_file.read_text() if pid_file.exists() else ""
+        return text.split() if text.endswith("\n") else []
+    while not written_pids() and time.monotonic() < deadline and proc.poll() is None:
         time.sleep(0.05)
-    helpers = pid_file.read_text().split() if pid_file.exists() else []
+    helpers = written_pids()
     if len(helpers) != 1:
         proc.kill()
         proc.communicate()
@@ -717,6 +721,8 @@ def test_exit_codes(tmp_path, capsys):
     undecodable.write_bytes(b"stem0\tiki\tsuf0\nstem1\ti\xffi\tsuf1\n")
     undecodable_weighted = tmp_path / "undecodable-w.tsv"
     undecodable_weighted.write_bytes(b"iki\tstem0\tsuf0\t3\ni\xffi\tstem1\tsuf1\t2\n")
+    huge_count = tmp_path / "huge-count.tsv"   # no float64 holds it
+    huge_count.write_text(f"iki\tstem0\tsuf0\t3\nipi\tstem1\tsuf1\t{10 ** 400}\n")
     undecodable_cfg = tmp_path / "undecodable.cfg"
     undecodable_cfg.write_bytes(b"dim=8\nrun-name=\xff\n")
     no_equals = tmp_path / "no-equals.cfg"
@@ -793,6 +799,10 @@ def test_exit_codes(tmp_path, capsys):
           "--out-dir", "/dev/null/x"], 1),             # fails before training
         (["train", "--data", str(undecodable), "--out-dir", x], 1),
         (["train", "--weighted-data", str(undecodable_weighted), "--out-dir", x], 1),
+        (["train", "--weighted-data", str(huge_count), "--sample-k", "3", "--out-dir", x], 1,
+         f"ParseError: {huge_count}:2: count"),
+        (["resample", "--weighted-data", str(huge_count), "--sizes", "4", "--out-dir", x], 1,
+         f"ParseError: {huge_count}:2: count"),
         (["predict", "--checkpoint", ckpt, "--input", str(undecodable), "--out-dir", x], 1),
         (["evaluate", "--config", str(undecodable_cfg), "--checkpoint", ckpt,
           "--data", data, "--out-dir", x], 2),

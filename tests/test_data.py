@@ -87,8 +87,12 @@ def test_parse_weighted_errors(tmp_path):
         parse_weighted_tsv(write(tmp_path / "a.tsv", "x\ty\t3\n"))
     with pytest.raises(ParseError, match="count"):
         parse_weighted_tsv(write(tmp_path / "b.tsv", "x\ty\tz\tmany\n"))
-    with pytest.raises(ParseError, match="negative"):
-        parse_weighted_tsv(write(tmp_path / "c.tsv", "x\ty\tz\t-1\n"))
+    # a count is sampled as a float64, which holds every integer up to 2**53
+    for i, count in enumerate((-1, 2 ** 53 + 1, 10 ** 400)):
+        with pytest.raises(ParseError, match=rf"c{i}\.tsv:1: count is negative or above 2\*\*53$"):
+            parse_weighted_tsv(write(tmp_path / f"c{i}.tsv", f"x\ty\tz\t{count}\n"))
+    top = parse_weighted_tsv(write(tmp_path / "c.tsv", f"x\ty\tz\t{2 ** 53}\n"))
+    assert top[0].count == 2 ** 53
     (tmp_path / "d.tsv").write_bytes(b"\xffx\ty\tz\t1\n")
     with pytest.raises(DataError, match="d.tsv:1: not valid UTF-8"):
         parse_weighted_tsv(tmp_path / "d.tsv")

@@ -8,6 +8,7 @@ finite differences of its own forward pass.
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from vecphon import model as md
 from vecphon.errors import ConfigError, DataError, NumericError
 from vecphon.model import Variant, WordPass, emit, init_params, lstm_step
-from vecphon.training import mean_dev_loss
+from vecphon.training import elbo_word_loss, mean_dev_loss
 from vecphon.vocab import Alphabet, LexiconEntry
 
 ALL_VARIANTS = [Variant.POS_INDEPENDENT, Variant.POS_DEPENDENT, Variant.JOINT]
@@ -82,12 +83,10 @@ def word_setup(seed, d=3, n_chars=4, n_morphs=4):
 def pass_kwargs(params, seed, dropout=0.0):
     """Fresh, identically seeded noise and dropout sources, so every call
     sees the same draws."""
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((16, params.d))
-    it = iter(noise)
-    kwargs = {"eps": lambda: next(it)}
+    kwargs = {"eps": np.random.default_rng(seed).standard_normal}
     if dropout > 0.0:
-        kwargs.update(dropout=dropout, drop_rng=np.random.default_rng(seed + 1))
+        kwargs["drop"] = functools.partial(md.dropout_masks, np.random.default_rng(seed + 1),
+                                           dropout)
     return kwargs
 
 
@@ -347,10 +346,10 @@ def test_word_logprob_sampling_changes_score_but_mean_pinned():
     entry = LexiconEntry(morphemes=(0, 1), form=(0, 1))
     base = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet).logprob.item()
     pinned = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet,
-                      eps=lambda: np.zeros(params.d)).logprob.item()
+                      eps=np.zeros).logprob.item()
     assert base == pinned
     noisy = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet,
-                     eps=lambda: rng.normal(size=params.d)).logprob.item()
+                     eps=rng.standard_normal).logprob.item()
     assert noisy != base
 
 
@@ -466,10 +465,9 @@ def test_word_logprob_matches_reference_values():
         params = init_params(np.random.default_rng(1000 + d), 4, REF_ALPHABET, d)
         variant = Variant(tag)
         for entry, want_mean, want_noisy in zip(REF_WORDS, mean_ref, noisy_ref):
-            draws = iter(np.random.default_rng(2000 + d).standard_normal((8, d)))
             got_mean = WordPass(variant, entry, params, REF_ALPHABET).logprob
             got_noisy = WordPass(variant, entry, params, REF_ALPHABET,
-                                 eps=lambda: next(draws)).logprob
+                                 eps=np.random.default_rng(2000 + d).standard_normal).logprob
             assert abs(got_mean - want_mean) <= 1e-10 * abs(want_mean), (d, tag, entry)
             assert abs(got_noisy - want_noisy) <= 1e-10 * abs(want_noisy), (d, tag, entry)
 
@@ -836,8 +834,8 @@ def test_dropout_identity_when_off():
     entry = LexiconEntry((0, 1), (2, 1))
     base = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet).logprob
     rng = np.random.default_rng(15)
-    got = WordPass(Variant.POS_INDEPENDENT, entry, params, alphabet,
-                   dropout=0.0, drop_rng=rng).logprob
+    got = -elbo_word_loss(Variant.POS_INDEPENDENT, entry, params, alphabet, None,
+                          dropout=0.0, drop_rng=rng)
     assert got == base
     assert rng.random() == np.random.default_rng(15).random()  # nothing drawn
 
@@ -852,7 +850,7 @@ def test_dropout_preserves_mean_and_masks_grads():
     alphabet, params = word_setup(16, d=6, n_chars=5)
     entry = LexiconEntry((0, 1), (0, 1, 2, 3))  # every input symbol read once
     word = WordPass(Variant.POS_DEPENDENT, entry, params, alphabet,
-                    dropout=0.5, drop_rng=np.random.default_rng(6))
+                    drop=functools.partial(md.dropout_masks, np.random.default_rng(6), 0.5))
     grads = params.like()
     word.nll_backward(grads)
     step_masks = word.masks[len(entry.morphemes):]

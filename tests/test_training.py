@@ -3,6 +3,7 @@ identities, determinism, and best-checkpoint restoration."""
 
 from __future__ import annotations
 
+import copy
 import os
 
 import numpy as np
@@ -86,6 +87,28 @@ def test_elbo_identities():
             -WordPass(variant, entry, params, alphabet).logprob.item(), abs=1e-12)
 
 
+def test_each_word_draws_its_noise_and_masks_once():
+    # a word advances the noise generator by d normals (pos-indep), T*d
+    # (pos-dep) or none (joint), and the dropout generator by (k+T)*d
+    # uniforms at a positive rate and none at rate 0: the layout that
+    # repeated runs and a batch's one-block draw rely on
+    alphabet = Alphabet("abc")
+    params = init_params(np.random.default_rng(0), 3, alphabet, 5)
+    entry = LexiconEntry(morphemes=(0, 2), form=(1, 0, 2))
+    k, T, d = 2, 4, 5
+    n_normals = {Variant.POS_INDEPENDENT: d, Variant.POS_DEPENDENT: T * d, Variant.JOINT: 0}
+    for variant, n_noise in n_normals.items():
+        for dropout, n_masks in ((0.0, 0), (0.3, (k + T) * d)):
+            noise_rng, drop_rng = np.random.default_rng(1), np.random.default_rng(2)
+            elbo_word_loss(variant, entry, params, alphabet, noise_rng,
+                           dropout=dropout, drop_rng=drop_rng, grads=params.like())
+            fresh_noise, fresh_drop = np.random.default_rng(1), np.random.default_rng(2)
+            fresh_noise.standard_normal(n_noise)
+            fresh_drop.random(n_masks)
+            assert noise_rng.standard_normal() == fresh_noise.standard_normal(), (variant, dropout)
+            assert drop_rng.random() == fresh_drop.random(), (variant, dropout)
+
+
 def test_single_sample_estimator_statistics():
     # two independent 200-draw batches agree within joint standard error
     rng_a = np.random.default_rng(10)
@@ -112,11 +135,11 @@ def test_one_step_decreases_loss_with_same_noise():
         params = init_params(rng, 2, alphabet, 6)
         entry = LexiconEntry(morphemes=(0, 1), form=tuple(rng.integers(0, 3, size=3)))
         variant = ALL_VARIANTS[seed % 3]
-        eps_seq = [rng.standard_normal(6) for _ in range(8)]
+        noise_rng = copy.deepcopy(rng)  # each pass draws the same leading values
 
         def word_now():
-            it = iter(eps_seq)
-            return WordPass(variant, entry, params, alphabet, eps=lambda: next(it))
+            return WordPass(variant, entry, params, alphabet,
+                            eps=copy.deepcopy(noise_rng).standard_normal)
 
         before = -word_now().logprob
         grads = params.like()
